@@ -7,8 +7,16 @@ over H_x tensor H_y with the *input factors first*; the inverse isomorphism is
 computational basis. Factor order of a type is the in-order traversal of its
 expression (tails before heads), matching type_ast.factor_dims.
 
+Block projection onto the blocks of an index set J (see subspace_algebra)
+is one change of basis: each factor's row and column axes are paired into
+one axis of size d^2, and a real Householder reflection on it makes the first
+coordinate the identity component vec(I)/sqrt(d) and the rest traceless. A
+0/1 mask keeps the coordinates whose pattern (bit 1 where a factor is at its
+first coordinate) lies in J, and the same reflections map back: cost
+O(side^2 * sum of d^2), with the reflections and mask cached per (dims, J).
+
 Matrix file format (JSON): {"dims": [d1, .., dk], "matrix": [[[re, im], ..]]},
-row-major over the full product space.
+row-major over the full product space; non-finite entries are refused.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 from typing import Optional, Sequence, Union
 
@@ -38,7 +47,6 @@ __all__ = [
     "partial_trace",
     "reorder_factors",
     "apply_inverse_choi",
-    "project_delta",
     "check_deterministic",
     "check_admissible",
     "sample_deterministic",
@@ -174,59 +182,49 @@ def apply_inverse_choi(M: HermOp, O: HermOp) -> HermOp:
 # --------------------------------------------------------------------------
 
 
-def _p_identity(mat: np.ndarray, dims: tuple[int, ...], pos: int) -> np.ndarray:
-    """Project factor `pos` onto its identity component: Tr_pos(.)/d x I."""
+@lru_cache(maxsize=32)
+def _block_basis(
+    dims: tuple[int, ...], J: StringSet
+) -> tuple[list[int], list[np.ndarray], np.ndarray]:
+    """The axis order pairing each factor's row and column axes, the
+    reflection of each non-trivial pair axis, and the flat mask of J."""
     k = len(dims)
-    t = mat.reshape(dims + dims)
-    labels = list(range(2 * k))
-    labels[k + pos] = pos  # trace the factor
-    rest = [i for i in range(2 * k) if i not in (pos, k + pos)]
-    traced = np.einsum(t, labels, rest)
-    d = dims[pos]
-    eye = np.eye(d) / d
-    out = np.einsum(traced, rest, eye, [pos, k + pos], list(range(2 * k)))
-    side = mat.shape[0]
-    return out.reshape(side, side)
+    order = [a for f in range(k) for a in (f, k + f)]
+    reflections = []
+    pattern = np.zeros((), dtype=np.int64)
+    for d in dims:
+        at_identity = np.arange(d * d) == 0
+        pattern = np.add.outer(2 * pattern, at_identity)
+        if d > 1:
+            v = at_identity - np.eye(d).ravel() / np.sqrt(d)
+            reflections.append(np.eye(d * d) - np.outer(v, v) * (2 / (v @ v)))
+    mask = np.isin(pattern.ravel(), list(J.strings))
+    for a in (*reflections, mask):
+        a.setflags(write=False)
+    return order, reflections, mask
+
+
+def _reflect(t: np.ndarray, reflections: list[np.ndarray]) -> np.ndarray:
+    """Reflect each pair axis in turn: contract the leading one and append it
+    last, so one pass returns the axes to their order. The result is flat."""
+    for h in reflections:
+        t = t.reshape(h.shape[0], -1).T @ h
+    return t.reshape(-1)
 
 
 def _project_delta_matrix(
     mat: np.ndarray, dims: tuple[int, ...], J: StringSet
 ) -> np.ndarray:
-    """Orthogonal projection of the Hermitian part onto the blocks in J."""
-    herm = (mat + mat.conj().T) / 2
-    side = herm.shape[0]
+    """Orthogonal projection onto the blocks in J. It is linear and keeps
+    Hermitian operators Hermitian; it does not symmetrize its input."""
+    side = mat.shape[0]
     if not J.strings:
         return np.zeros((side, side), dtype=complex)
-    ell = J.length
-    # prefix tree: which initial bit patterns can still reach a string in J
-    prefixes: list[set[int]] = [set() for _ in range(ell + 1)]
-    for s in J.strings:
-        for level in range(ell + 1):
-            prefixes[level].add(s >> (ell - level))
-
-    def descend(block: np.ndarray, level: int, prefix: int) -> np.ndarray:
-        if level == ell:
-            return block
-        acc = np.zeros((side, side), dtype=complex)
-        one = (prefix << 1) | 1
-        zero = prefix << 1
-        want_one = one in prefixes[level + 1]
-        want_zero = zero in prefixes[level + 1]
-        p1 = _p_identity(block, dims, level) if (want_one or want_zero) else None
-        if want_one:
-            acc += descend(p1, level + 1, one)
-        if want_zero:
-            acc += descend(block - p1, level + 1, zero)
-        return acc
-
-    return descend(herm, 0, 0)
-
-
-def project_delta(O: HermOp, J: StringSet) -> HermOp:
-    """Project onto the direct sum of the blocks indexed by J."""
-    if J.length != len(O.dims):
-        raise ValueError(f"{J.length} index positions vs {len(O.dims)} factors")
-    return HermOp(O.dims, _project_delta_matrix(O.matrix, O.dims, J))
+    order, reflections, mask = _block_basis(dims, J)
+    t = mat.reshape(dims + dims).transpose(order)
+    paired = t.shape
+    t = _reflect(_reflect(t, reflections) * mask, reflections)
+    return t.reshape(paired).transpose(np.argsort(order)).reshape(side, side)
 
 
 # --------------------------------------------------------------------------
@@ -525,6 +523,8 @@ def matrix_from_json_obj(obj: dict) -> HermOp:
         for j, pair in enumerate(row):
             re, im = pair
             mat[i, j] = complex(float(re), float(im))
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix has non-finite entries")
     return HermOp(dims, mat)
 
 

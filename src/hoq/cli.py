@@ -27,6 +27,7 @@ from hoq.choi_numeric import (
     DEFAULT_FEAS_TOL,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    HermOp,
     check_admissible,
     check_deterministic,
     load_matrix,
@@ -212,14 +213,19 @@ def _cmd_equiv(args: argparse.Namespace) -> tuple[dict, int]:
     return payload, 0 if verdict.equivalent else 1
 
 
+def _load_matrix_with_dims(path: str, dims: tuple[int, ...], what: str) -> HermOp:
+    """Load a matrix file whose factor dims must equal `dims` (named `what`)."""
+    op = load_matrix(path)
+    if op.dims != dims:
+        raise ValueError(
+            f"matrix dims {list(op.dims)} do not match {what} {list(dims)}"
+        )
+    return op
+
+
 def _cmd_check_det(args: argparse.Namespace) -> tuple[dict, int]:
     x = parse_type(args.type)
-    op = load_matrix(args.matrix)
-    if tuple(op.dims) != factor_dims(x):
-        raise ValueError(
-            f"matrix dims {list(op.dims)} do not match the type's factors "
-            f"{list(factor_dims(x))}"
-        )
+    op = _load_matrix_with_dims(args.matrix, factor_dims(x), "the type's factors")
     report = check_deterministic(op.matrix, x, tol=args.tol)
     payload = {
         "verdict": report.verdict,
@@ -235,12 +241,7 @@ def _cmd_check_det(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _cmd_check_adm(args: argparse.Namespace) -> tuple[dict, int]:
     x = parse_type(args.type)
-    op = load_matrix(args.matrix)
-    if tuple(op.dims) != factor_dims(x):
-        raise ValueError(
-            f"matrix dims {list(op.dims)} do not match the type's factors "
-            f"{list(factor_dims(x))}"
-        )
+    op = _load_matrix_with_dims(args.matrix, factor_dims(x), "the type's factors")
     report = check_admissible(op.matrix, x, tol=args.tol, max_iter=args.max_iter)
     payload = {
         "feasible": report.feasible,
@@ -265,13 +266,9 @@ def _cmd_sample_det(args: argparse.Namespace) -> tuple[dict, int]:
 def _cmd_oracle_det(args: argparse.Namespace) -> tuple[dict, int]:
     x = parse_type(args.type)
     y = parse_type(args.cotype)
-    op = load_matrix(args.matrix)
-    want = factor_dims(x) + factor_dims(y)
-    if tuple(op.dims) != want:
-        raise ValueError(
-            f"matrix dims {list(op.dims)} do not match tail+head factors "
-            f"{list(want)}"
-        )
+    op = _load_matrix_with_dims(
+        args.matrix, factor_dims(x) + factor_dims(y), "tail+head factors"
+    )
     ok = oracle_deterministic(
         op.matrix, x, y, samples=args.samples, seed=args.seed
     )
@@ -378,7 +375,8 @@ def _text_lines(obj: object, path: str) -> list[str]:
 
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        sys.stdout.write(text + "\n")
     else:
         sys.stdout.write("\n".join(_text_lines(payload, "")) + "\n")
 
@@ -393,6 +391,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if code in (None, 0) else int(code)
     try:
         payload, code = _HANDLERS[args.command](args)
+        _emit(payload, args.format)  # strict JSON: a non-finite value raises
     except (
         ParseError,
         ValueError,
@@ -403,7 +402,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, args.format)
     return code
 
 

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from generators import type_strategy
 from hoq.choi_numeric import (
     DEFAULT_FEAS_TOL,
     HermOp,
+    _project_delta_matrix,
     apply_inverse_choi,
     check_admissible,
     check_deterministic,
@@ -27,7 +29,8 @@ from hoq.choi_numeric import (
     save_matrix,
 )
 from hoq.semantics import lambda_recursive
-from hoq.type_ast import parse_type, tensor, total_dim
+from hoq.subspace_algebra import complement_in_T, delta_of_type, perp_in_W
+from hoq.type_ast import factor_dims, make_comb, parse_type, tensor, total_dim
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -321,6 +324,38 @@ def test_sample_deterministic_spread():
     dev_tight = np.linalg.norm(tight.matrix - 0.5 * np.eye(4))
     dev_loose = np.linalg.norm(loose.matrix - 0.5 * np.eye(4))
     assert dev_tight < dev_loose
+
+
+# -- block projector ----------------------------------------------------------
+
+PROJECTOR_TYPES = {
+    "effect": parse_type("A:2->I"),
+    "state_input": parse_type("I->A:2"),
+    "dual_effect": parse_type("(A:2->I)->I"),
+    "qutrit_channel": parse_type("A:3->B:3"),
+    "channel_pair": tensor(parse_type("A:2->B:2"), parse_type("C:2->D:2")),
+    "comb4": make_comb([parse_type("A:2->B:2")] * 4),
+}
+
+
+@pytest.mark.parametrize("which", ["delta", "outside"])
+@pytest.mark.parametrize("name", sorted(PROJECTOR_TYPES))
+def test_projector_matches_block_oracle(name, which):
+    x = PROJECTOR_TYPES[name]
+    dims = factor_dims(x)
+    delta = delta_of_type(x)
+    J = delta if which == "delta" else complement_in_T(delta)
+    X = random_herm(np.random.default_rng(len(dims)), total_dim(x))
+    scale = np.linalg.norm(X)
+    expected = sum(
+        (oracles.block_project(X, dims, b) for b in J.as_bitstrings()),
+        np.zeros_like(X),
+    )
+    got = _project_delta_matrix(X, dims, J)
+    assert np.linalg.norm(got - expected) <= 1e-12 * scale
+    rest = _project_delta_matrix(X, dims, perp_in_W(J))
+    herm = (X + X.conj().T) / 2
+    assert np.linalg.norm(got + rest - herm) <= 1e-12 * scale
 
 
 def test_oracle_agrees_with_block_checker(nprng):

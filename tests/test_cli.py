@@ -6,6 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from hoq import cli
 from hoq.choi_numeric import HermOp, save_matrix
 from hoq.cli import load_schema, run, schema_name
 
@@ -384,6 +385,25 @@ def test_malformed_matrix_file(invoke, tmp_path):
         "check-det", "--type", "A:2->B:2", "--matrix", str(path)
     )
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("command", ["check-det", "check-adm"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_matrix_entry_is_refused(invoke, tmp_path, command, bad):
+    rows = [[[0.5 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    rows[1][2] = [bad, 0.0]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dims": [2, 2], "matrix": rows}))
+    code, out, err = invoke(command, "--type", "A:2->B:2", "--matrix", str(path))
+    assert code == 2 and out == "" and "non-finite" in err
+
+
+def test_json_output_is_strict(invoke, monkeypatch):
+    monkeypatch.setitem(
+        cli._HANDLERS, "parse", lambda args: ({"value": float("nan")}, 0)
+    )
+    code, out, err = invoke("parse", "A:2")
+    assert code == 2 and out == "" and "error:" in err
 
 
 def test_schema_name_mapping():
