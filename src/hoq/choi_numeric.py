@@ -31,7 +31,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from hoq.semantics import lambda_recursive
-from hoq.subspace_algebra import StringSet, complement_in_T, delta_of_type
+from hoq.subspace_algebra import StringSet, complement_in_T, delta_normal_form
 from hoq.type_ast import TypeExpr, factor_dims
 
 HERM_TOL = 1e-10        # relative Frobenius bound enforced by HermOp
@@ -74,9 +74,9 @@ def _fro(mat: np.ndarray) -> float:
 class HermOp:
     """A Hermitian operator over an ordered tuple of tensor factors.
 
-    Construction enforces ||M - M^dag||_F <= HERM_TOL * ||M||_F; use raw
-    ndarrays for operators that may legitimately fail that gate (the checkers
-    accept both).
+    Construction refuses non-finite entries and enforces ||M - M^dag||_F <=
+    HERM_TOL * ||M||_F; use raw ndarrays for operators that may legitimately
+    fail that gate (the checkers accept both).
     """
 
     dims: tuple[int, ...]
@@ -86,10 +86,7 @@ class HermOp:
         dims = tuple(int(d) for d in self.dims)
         if any(d < 1 for d in dims):
             raise ValueError(f"bad factor dims {dims}")
-        mat = np.asarray(self.matrix, dtype=complex)
-        side = prod(dims) if dims else 1
-        if mat.shape != (side, side):
-            raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
+        mat = _coerce(self.matrix, dims)
         if _fro(mat - mat.conj().T) > HERM_TOL * _fro(mat):
             raise ValueError("matrix is not Hermitian within HERM_TOL")
         object.__setattr__(self, "dims", dims)
@@ -104,7 +101,7 @@ OperatorLike = Union[HermOp, np.ndarray]
 
 
 def _coerce(op: OperatorLike, dims: Sequence[int]) -> np.ndarray:
-    """Return the raw matrix, checking dims when a HermOp is supplied."""
+    """Return the finite raw matrix, checking dims when a HermOp is supplied."""
     dims = tuple(dims)
     side = prod(dims) if dims else 1
     if isinstance(op, HermOp):
@@ -114,6 +111,9 @@ def _coerce(op: OperatorLike, dims: Sequence[int]) -> np.ndarray:
     mat = np.asarray(op, dtype=complex)
     if mat.shape != (side, side):
         raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
+    if not np.isfinite(mat).all():
+        # NaN fails every comparison, so the tolerance gates would pass it
+        raise ValueError("matrix has non-finite entries")
     return mat
 
 
@@ -251,7 +251,7 @@ def check_deterministic(
     Checks, each within tol: Hermiticity (relative), positive semidefiniteness
     (min eigenvalue >= -tol), the identity coefficient Tr R / d == lambda_x,
     and vanishing of the component outside the admissible blocks (relative
-    Frobenius residual over T minus Delta_x at full factor positions).
+    Frobenius residual over T minus Delta_x at the non-trivial factors).
     """
     dims = factor_dims(x)
     mat = _coerce(R, dims)
@@ -262,8 +262,9 @@ def check_deterministic(
     side = herm.shape[0]
     lam_expected = lambda_recursive(x)
     lam_measured = float(np.trace(herm).real) / side
-    outside = complement_in_T(delta_of_type(x))
-    residual = _fro(_project_delta_matrix(herm, dims, outside)) / max(1.0, norm)
+    delta, nf_dims = delta_normal_form(x)
+    outside = _project_delta_matrix(herm, nf_dims.dims, complement_in_T(delta))
+    residual = _fro(outside) / max(1.0, norm)
     verdict = (
         herm_residual <= tol
         and min_eig >= -tol
@@ -321,12 +322,12 @@ def check_admissible(
     if float(np.linalg.eigvalsh(herm)[0]) < -tol:
         return FeasibilityReport("no_certificate", None, 0, float("inf"))
     lam = float(lambda_recursive(x))
-    delta = delta_of_type(x)
+    delta, nf_dims = delta_normal_form(x)
     side = herm.shape[0]
     eye = np.eye(side, dtype=complex)
 
     def onto_affine(z: np.ndarray) -> np.ndarray:
-        return lam * eye + _project_delta_matrix(z, dims, delta)
+        return lam * eye + _project_delta_matrix(z, nf_dims.dims, delta)
 
     def onto_cone(z: np.ndarray) -> np.ndarray:
         return herm + _psd_clip(z - herm)
@@ -369,7 +370,8 @@ def sample_deterministic(
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
     g = (g + g.conj().T) / 2
-    fluct = _project_delta_matrix(g, dims, delta_of_type(x))
+    delta, nf_dims = delta_normal_form(x)
+    fluct = _project_delta_matrix(g, nf_dims.dims, delta)
     lam = float(lambda_recursive(x))
     eigs = np.linalg.eigvalsh(fluct)
     op_norm = float(max(abs(eigs[0]), abs(eigs[-1]))) if eigs.size else 0.0
@@ -523,8 +525,6 @@ def matrix_from_json_obj(obj: dict) -> HermOp:
         for j, pair in enumerate(row):
             re, im = pair
             mat[i, j] = complex(float(re), float(im))
-    if not np.isfinite(mat).all():
-        raise ValueError("matrix has non-finite entries")
     return HermOp(dims, mat)
 
 

@@ -2,9 +2,9 @@
 
 Every deterministic event of a type x is λ_x·I plus a fluctuation from the
 block direct sum indexed by delta_of_type(x).  This module computes the exact
-rational λ_x, packages the normal-formed index data as :class:`TypeSemantics`,
-and decides whether two types have the same semantics up to a relabelling of
-tensor factors.
+rational λ_x, packages the index data over the non-trivial factors as
+:class:`TypeSemantics`, and decides whether two types have the same semantics
+up to a relabelling of tensor factors.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from hoq.subspace_algebra import (
     FactorProfile,
     StringSet,
     complement_in_T,
-    delta_of_type,
-    normal_form,
+    delta_normal_form,
     permute,
 )
 from hoq.type_ast import (
@@ -28,7 +27,6 @@ from hoq.type_ast import (
     Elementary,
     TypeExpr,
     bar,
-    factor_dims,
     tensor,
     total_dim,
 )
@@ -106,8 +104,9 @@ class TypeSemantics:
 
 
 def upsilon(x: TypeExpr) -> TypeSemantics:
-    """Compute the semantics triple of a type."""
-    delta, dims = normal_form(delta_of_type(x), factor_dims(x))
+    """Compute the semantics triple of a type; ``delta`` and ``dims`` come
+    from the Delta recursion run over the non-trivial factors only."""
+    delta, dims = delta_normal_form(x)
     return TypeSemantics(
         lambda_=lambda_recursive(x),
         delta=delta,
@@ -272,8 +271,5 @@ def check_identity(name: str, args: Sequence[TypeExpr]) -> bool:
         sb = upsilon(bar(x))
         if sb.lambda_ != 1 / (sx.lambda_ * total_dim(x)):
             return False
-        comp, comp_dims = normal_form(
-            complement_in_T(delta_of_type(x)), factor_dims(x)
-        )
-        return sb.delta == comp and tuple(sb.dims) == tuple(comp_dims)
+        return sb.delta == complement_in_T(sx.delta) and sb.dims == sx.dims
     raise ValueError(f"unknown identity {name!r}")

@@ -8,16 +8,19 @@ they are stored as integers with the leftmost factor in the highest bit.
 
 W is the full set {0,1}^k, e the all-ones string (the identity block) and
 T = W \\ {e}.  Concatenation of index sets mirrors the tensor product of the
-underlying spaces; the empty string (k = 0) is its neutral element.
+underlying spaces; the empty string (k = 0) is its neutral element.  One
+recursion gives a type's index set over all atom positions or over the
+non-trivial (d > 1) ones only; more than 24 positions raise CapacityError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
-from hoq.type_ast import Arrow, Elementary, TypeExpr, factor_dims, print_canonical
+from hoq.type_ast import Arrow, Elementary, TypeExpr, factor_dims
 
 MAX_FACTORS = 64
 
@@ -50,10 +53,10 @@ class StringSet:
             )
         if not isinstance(self.strings, frozenset):
             object.__setattr__(self, "strings", frozenset(self.strings))
-        limit = 1 << self.length
-        for s in self.strings:
-            if not 0 <= s < limit:
-                raise ValueError(f"string {s} does not fit length {self.length}")
+        lo, hi = min(self.strings, default=0), max(self.strings, default=0)
+        if lo < 0 or hi >= 1 << self.length:
+            bad = lo if lo < 0 else hi
+            raise ValueError(f"string {bad} does not fit length {self.length}")
 
     @staticmethod
     def from_bitstrings(length: int, bitstrings: Iterable[str]) -> "StringSet":
@@ -100,18 +103,20 @@ class FactorProfile:
         return prod(self.dims)
 
 
+def _everything(length: int) -> frozenset[int]:
+    """The strings of W at the given length.  They are materialized one by one,
+    so beyond 2^24 they are a memory hazard, not an index set, and refused."""
+    if not 0 <= length <= 24:
+        raise CapacityError(f"refusing to materialize 2^{length} strings")
+    return frozenset(range(1 << length))
+
+
 def full_sets(length: int) -> tuple[StringSet, StringSet, StringSet]:
     """Return (W, T, e) at the given length: everything, everything but the
     all-ones string, and the all-ones singleton.  At length 0, W = e = {ε}
     and T is empty."""
-    if length < 0 or length > MAX_FACTORS:
-        raise CapacityError(f"length {length} outside [0, {MAX_FACTORS}]")
-    if length > 24:
-        # W is materialized element by element; beyond ~2^24 this is no
-        # longer an index set but a memory hazard.
-        raise CapacityError(f"refusing to materialize 2^{length} strings")
     e = (1 << length) - 1
-    everything = frozenset(range(1 << length))
+    everything = _everything(length)
     return (
         StringSet(length, everything),
         StringSet(length, everything - {e}),
@@ -124,14 +129,12 @@ def complement_in_T(J: StringSet) -> StringSet:
     e = (1 << J.length) - 1
     if e in J.strings:
         raise ValueError("complement_in_T: the identity string is not in T")
-    _, t, _ = full_sets(J.length)
-    return StringSet(J.length, t.strings - J.strings)
+    return StringSet(J.length, _everything(J.length) - J.strings - {e})
 
 
 def perp_in_W(J: StringSet) -> StringSet:
     """W \\ J."""
-    w, _, _ = full_sets(J.length)
-    return StringSet(J.length, w.strings - J.strings)
+    return StringSet(J.length, _everything(J.length) - J.strings)
 
 
 def union(a: StringSet, b: StringSet) -> StringSet:
@@ -241,46 +244,43 @@ def dim_of_delta(J: StringSet, dims: Sequence[int]) -> int:
 # the index set of a type
 # --------------------------------------------------------------------------
 
-_DELTA_CACHE: dict[str, StringSet] = {}
+# At 4096 entries large comb index sets were evicted between uses and rebuilt.
+_DELTA_CACHE_SIZE = 1 << 16
+
+
+@lru_cache(maxsize=_DELTA_CACHE_SIZE)
+def _delta(x: TypeExpr, full: bool) -> StringSet:
+    """The Delta recursion over all atom positions (``full``) or over the
+    non-trivial ones; only the elementary layer's width depends on it."""
+    if isinstance(x, Elementary):
+        k = len(x.atoms) if full else sum(a.dim > 1 for a in x.atoms)
+        if all(a.dim == 1 for a in x.atoms):
+            return StringSet(k, frozenset())
+        return StringSet(k, _everything(k) - {(1 << k) - 1})
+    if isinstance(x, Arrow):
+        d_tail, d_head = _delta(x.tail, full), _delta(x.head, full)
+        return union(
+            concat(StringSet(d_tail.length, _everything(d_tail.length)), d_head),
+            concat(complement_in_T(d_tail), perp_in_W(d_head)),
+        )
+    raise TypeError(f"not a type expression: {x!r}")
 
 
 def delta_of_type(x: TypeExpr) -> StringSet:
-    """Index set of the fluctuation space of deterministic events of ``x``.
-
-    Computed over *all* atom positions of ``x`` (no normal-form reduction
-    here).  Elementary layer: every non-identity pattern, i.e. T over its
-    atoms — except that an all-trivial group contributes the empty set, so
-    the trivial type has an empty index set exactly.  Arrow x -> y:
-    W_x · D_y  ∪  (T_x \\ D_x) · (W_y \\ D_y).  Results are memoized on the
-    canonical rendering.
-    """
-    key = print_canonical(x)
-    cached = _DELTA_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if isinstance(x, Elementary):
-        k = len(x.atoms)
-        if all(a.dim == 1 for a in x.atoms):
-            out = StringSet(k, frozenset())
-        else:
-            out = full_sets(k)[1]
-    elif isinstance(x, Arrow):
-        d_tail = delta_of_type(x.tail)
-        d_head = delta_of_type(x.head)
-        w_tail = full_sets(d_tail.length)[0]
-        out = union(
-            concat(w_tail, d_head),
-            concat(complement_in_T(d_tail), perp_in_W(d_head)),
-        )
-    else:
-        raise TypeError(f"not a type expression: {x!r}")
-    _DELTA_CACHE[key] = out
-    return out
+    """Index set of the fluctuation space of deterministic events of ``x``,
+    over *all* atom positions (delta_normal_form: the same recursion without
+    the trivial ones).  Elementary layer: every non-identity pattern, i.e. T
+    over its atoms — except that an all-trivial group contributes the empty
+    set, so the trivial type has an empty index set exactly.  Arrow x -> y:
+    W_x · D_y  ∪  (T_x \\ D_x) · (W_y \\ D_y)."""
+    return _delta(x, True)
 
 
 def delta_normal_form(x: TypeExpr) -> tuple[StringSet, FactorProfile]:
-    """delta_of_type followed by normal_form over the type's factor dims."""
-    return normal_form(delta_of_type(x), factor_dims(x))
+    """The recursion of delta_of_type over the non-trivial factors only (an
+    all-trivial layer has length 0: W = {ε}, T = ∅), and their dims; equals
+    normal_form(delta_of_type(x), factor_dims(x)) without building the latter."""
+    return _delta(x, False), FactorProfile(tuple(d for d in factor_dims(x) if d > 1))
 
 
 # --------------------------------------------------------------------------

@@ -59,6 +59,25 @@ def test_hermop_validation():
     assert op.side == 6 and op.dims == (2, 3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_hermop_refuses_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        HermOp((2,), np.array([[bad, 0], [0, 1]], dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "check",
+    [check_deterministic, check_admissible, max_admissible_scale],
+    ids=lambda f: f.__name__,
+)
+def test_checkers_refuse_non_finite_ndarray(check, bad):
+    m = np.eye(4, dtype=complex) / 2
+    m[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        check(m, parse_type("A:2->B:2"))
+
+
 def test_hermop_scalar():
     op = identity_op(())
     assert op.side == 1 and op.matrix[0, 0] == 1

@@ -141,6 +141,17 @@ def test_upsilon_packages_normal_form():
     assert s.total_dim == 2
 
 
+def test_trivial_atoms_do_not_count_against_capacity():
+    # 27 atom positions but 3 non-trivial factors: the full-position set
+    # would exceed 2^24 strings, the normal form never builds it
+    x = parse_type("A:2*" + "I*" * 25 + "B:2->C:2")
+    s = upsilon(x)
+    assert tuple(s.dims) == (2, 2, 2) and s.total_dim == 8
+    assert s.delta.as_bitstrings() == ["000", "010", "100", "110"]
+    v = check_equiv(x, parse_type("A:2*B:2->C:2"))
+    assert v.equivalent and v.permutation == (0, 1, 2)
+
+
 def test_equiv_double_dual():
     v = check_equiv(parse_type("(A:2->I)->I"), parse_type("A:2"))
     assert v.equivalent and v.permutation == (0,)

@@ -54,6 +54,13 @@ def test_string_set_validation():
         StringSet.from_bitstrings(3, ["01"])  # wrong length
 
 
+def test_string_set_refuses_out_of_range_strings():
+    with pytest.raises(ValueError, match="does not fit"):
+        StringSet(2, frozenset({0, -1}))
+    with pytest.raises(ValueError, match="does not fit"):
+        StringSet(0, frozenset({1}))
+
+
 def test_leftmost_factor_is_highest_bit():
     assert "10" in sset("10")
     assert bits_to_int("10") == 2
@@ -235,6 +242,26 @@ def test_delta_normal_form_matches_two_steps():
     x = parse_type("(A:2->I)->I")
     nf, dims = delta_normal_form(x)
     assert nf == sset("0") and tuple(dims) == (2,)
+
+
+@given(type_strategy())
+def test_delta_normal_form_matches_normal_form(x):
+    # the normal-form recursion against the reduction of the full-position set
+    nf, dims = delta_normal_form(x)
+    ref, ref_dims = normal_form(delta_of_type(x), factor_dims(x))
+    assert nf == ref and tuple(dims) == tuple(ref_dims)
+
+
+def test_more_than_24_non_trivial_factors_are_refused():
+    x = parse_type("*".join(f"A{i}" for i in range(25)) + "->I")
+    with pytest.raises(CapacityError):
+        delta_normal_form(x)
+    with pytest.raises(CapacityError):
+        delta_of_type(x)
+    with pytest.raises(CapacityError):
+        complement_in_T(StringSet(25, frozenset()))
+    with pytest.raises(CapacityError):
+        perp_in_W(StringSet(25, frozenset()))
 
 
 def test_json_round_trip():
