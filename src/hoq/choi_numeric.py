@@ -15,6 +15,17 @@ coordinate the identity component vec(I)/sqrt(d) and the rest traceless. A
 first coordinate) lies in J, and the same reflections map back: cost
 O(side^2 * sum of d^2), with the reflections and mask cached per (dims, J).
 
+Admissibility is certified from both sides. The deterministic events E of
+the dual type x -> I form the slice {Tr E = 1 / lambda_x, no Delta_x
+component}; each PSD one has Tr[R E] = 1 for every deterministic R of x, so
+Tr[M E] > 1 proves that no R >= M exists, and mu <= 1 / Tr[M E] bounds the
+admissible scale. The affine iterate a of a Dykstra run gives a witness and
+a dual event at once: a is accepted when min eig(a - M) >= -DEFAULT_TOL *
+max(1, ||M||_op), and the negative part of a - M, with its Delta_x
+component removed and mixed with I / (lambda_x d) until PSD, is the dual
+event. max_admissible_scale narrows an interval [lo, hi] with both and
+returns lo.
+
 Matrix file format (JSON): {"dims": [d1, .., dk], "matrix": [[[re, im], ..]]},
 row-major over the full product space; non-finite entries are refused.
 """
@@ -295,10 +306,99 @@ class FeasibilityReport:
     final_distance: float
 
 
+# A certificate must beat its threshold by this relative margin, so that
+# rounding in a trace or an eigendecomposition cannot make one.
+_ROUNDING = 1e-10
+# Once the Dykstra distance is within tol, the bounds are checked every this
+# many iterations (before that, at iterations 1, 2, 4, 8, ...).
+_SETTLED_STRIDE = 4
+# Dykstra iterations a single probe of max_admissible_scale may run.
+_PROBE_MAX_ITER = 2000
+
+
 def _psd_clip(mat: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2)
     vals = np.clip(vals, 0.0, None)
     return (vecs * vals) @ vecs.conj().T
+
+
+@dataclass(frozen=True)
+class _Bounds:
+    """What one check of a Dykstra run on M proves.
+
+    ``witness`` lies in the deterministic slice and falls short of dominating
+    M by ``shortfall`` = max(0, -min eig(witness - M)); ``gap`` is its
+    Frobenius distance to {Z : Z >= M}.  Mixing it with lambda I gives a
+    slice member dominating lambda / (lambda + shortfall) * M.  ``dual`` is a
+    PSD deterministic event of the dual type x -> I, or None when the
+    shortfall is within the caller's margin; Tr[M dual] = ``dual_value`` > 1
+    proves that nothing in the slice dominates M.
+    """
+
+    iteration: int
+    witness: np.ndarray
+    shortfall: float
+    gap: float
+    dual: Optional[np.ndarray]
+    dual_value: float
+
+
+def _slice_of(x: TypeExpr) -> tuple[float, StringSet, tuple[int, ...]]:
+    """lambda_x, and Delta_x with the dims of the non-trivial factors."""
+    delta, nf_dims = delta_normal_form(x)
+    return float(lambda_recursive(x)), delta, nf_dims.dims
+
+
+def _bounds(
+    iteration: int, a: np.ndarray, herm: np.ndarray, margin: float,
+    lam: float, delta: StringSet, nf_dims: tuple[int, ...],
+) -> _Bounds:
+    vals, vecs = np.linalg.eigh(a - herm)
+    neg = np.clip(-vals, 0.0, None)
+    shortfall, gap = float(neg[0]), _fro(neg)
+    if shortfall <= margin:
+        return _Bounds(iteration, a, shortfall, gap, None, 0.0)
+    # the negative part N of a - M, moved into the dual slice
+    # {E : Tr E = 1 / lambda, Delta component 0} and mixed with its uniform
+    # member I / (lambda d) until it is PSD
+    n = (vecs * neg) @ vecs.conj().T
+    e = (n - _project_delta_matrix(n, nf_dims, delta)) / (lam * neg.sum())
+    side = e.shape[0]
+    uniform = 1.0 / (lam * side)
+    low = float(np.linalg.eigvalsh(e)[0])
+    if low < 0:
+        t = -low / (uniform - low)
+        e = (1 - t) * e + t * uniform * np.eye(side)
+    return _Bounds(iteration, a, shortfall, gap, e, float(np.vdot(e, herm).real))
+
+
+def _dykstra(
+    herm: np.ndarray, lam: float, delta: StringSet, nf_dims: tuple[int, ...],
+    tol: float, max_iter: int, margin: float,
+):
+    """Dykstra's alternating projections between the slice {lambda I +
+    Delta} and the cone {Z : Z >= herm}.  Yields the _Bounds of the affine
+    iterate at iterations 1, 2, 4, ..., every _SETTLED_STRIDE iterations
+    once the two iterates are within tol, and at max_iter; no dual event is
+    built for a shortfall within margin."""
+    eye = np.eye(herm.shape[0], dtype=complex)
+    y = herm
+    p = np.zeros_like(y)
+    q = np.zeros_like(y)
+    distance = float("inf")
+    next_check = 1
+    for iteration in range(1, max_iter + 1):
+        a = lam * eye + _project_delta_matrix(y + p, nf_dims, delta)
+        settled = distance <= tol and iteration % _SETTLED_STRIDE == 0
+        if iteration in (next_check, max_iter) or settled:
+            if iteration == next_check:
+                next_check *= 2
+            yield _bounds(iteration, a, herm, margin, lam, delta, nf_dims)
+        p = y + p - a
+        b = herm + _psd_clip(a + q - herm)
+        q = a + q - b
+        y = b
+        distance = _fro(a - b)
 
 
 def check_admissible(
@@ -311,41 +411,47 @@ def check_admissible(
 
     M is admissible iff M >= 0 and some R in the deterministic affine slice
     satisfies R - M >= 0.  A non-PSD M (min eigenvalue < -tol) is rejected at
-    the precheck.  Otherwise Dykstra's alternating projections run between
-    the affine set {lambda_x I + Delta_x} and the shifted cone {Z : Z >= M};
-    convergence of the two iterates to within tol certifies feasibility and
-    reports the affine-side iterate as witness.
+    the precheck (final_distance inf).  Every deterministic event E of the
+    dual type x -> I is PSD with Tr[R E] = 1 on the slice, so Tr[M E] > 1
+    proves M inadmissible: the uniform one, I / (lambda_x d), rejects
+    Tr M > lambda_x d before any iteration.  Otherwise Dykstra's alternating
+    projections run between the slice and the shifted cone {Z : Z >= M}; at
+    checks (iterations 1, 2, 4, ... and often once the iterates are within
+    tol) the affine iterate's negative part relative to M yields a dual
+    event.  The answer is:
+
+    * "yes" once the affine iterate R verifies min eig(R - M) >=
+      -DEFAULT_TOL * max(1, ||M||_op); R is the witness and final_distance
+      is the Frobenius distance from R to {Z : Z >= M};
+    * "no_certificate" with iterations <= max_iter once a dual event has
+      Tr[M E] > 1; final_distance is then (Tr[M E] - 1) / ||E||_F, a lower
+      bound on the distance between the slice and {Z : Z >= M};
+    * "no_certificate" at max_iter otherwise; final_distance is then the
+      Frobenius distance from the last affine iterate to {Z : Z >= M}.
     """
     dims = factor_dims(x)
     mat = _coerce(M, dims)
     herm = (mat + mat.conj().T) / 2
-    if float(np.linalg.eigvalsh(herm)[0]) < -tol:
+    eigs = np.linalg.eigvalsh(herm)
+    if float(eigs[0]) < -tol:
         return FeasibilityReport("no_certificate", None, 0, float("inf"))
-    lam = float(lambda_recursive(x))
-    delta, nf_dims = delta_normal_form(x)
+    lam, delta, nf_dims = _slice_of(x)
     side = herm.shape[0]
-    eye = np.eye(side, dtype=complex)
-
-    def onto_affine(z: np.ndarray) -> np.ndarray:
-        return lam * eye + _project_delta_matrix(z, nf_dims.dims, delta)
-
-    def onto_cone(z: np.ndarray) -> np.ndarray:
-        return herm + _psd_clip(z - herm)
-
-    y = herm.copy()
-    p = np.zeros_like(y)
-    q = np.zeros_like(y)
-    distance = float("inf")
-    for iteration in range(1, max_iter + 1):
-        a = onto_affine(y + p)
-        p = y + p - a
-        b = onto_cone(a + q)
-        q = a + q - b
-        y = b
-        distance = _fro(a - b)
-        if distance <= tol:
-            return FeasibilityReport("yes", HermOp(dims, a), iteration, distance)
-    return FeasibilityReport("no_certificate", None, max_iter, distance)
+    excess = float(np.trace(herm).real) - lam * side
+    if excess > _ROUNDING * lam * side:
+        return FeasibilityReport("no_certificate", None, 0, excess / np.sqrt(side))
+    margin = DEFAULT_TOL * max(1.0, float(eigs[-1]), -float(eigs[0]))
+    gap = float("inf")
+    for step in _dykstra(herm, lam, delta, nf_dims, tol, max_iter, margin):
+        if step.shortfall <= margin:
+            return FeasibilityReport(
+                "yes", HermOp(dims, step.witness), step.iteration, step.gap
+            )
+        if step.dual_value > 1 + _ROUNDING:
+            lower = (step.dual_value - 1) / _fro(step.dual)
+            return FeasibilityReport("no_certificate", None, step.iteration, lower)
+        gap = step.gap
+    return FeasibilityReport("no_certificate", None, max_iter, gap)
 
 
 # --------------------------------------------------------------------------
@@ -423,12 +529,21 @@ def oracle_deterministic(
 def max_admissible_scale(
     M: OperatorLike, x: TypeExpr, tol: float = DEFAULT_TOL
 ) -> float:
-    """Largest mu such that mu * M is admissible for type x.
+    """Largest mu such that mu * M is admissible for type x, from below.
 
-    M must be PSD (ValueError otherwise) and nonzero.  The trace bound
-    mu <= lambda_x * d / Tr(M) is probed first and returned exactly when
-    feasible; otherwise the interval down to the always-feasible
-    lambda_x / ||M||_op is bisected.
+    M must be PSD (ValueError otherwise) and nonzero.  The answer is kept in
+    an interval [lo, hi] that starts at [lambda_x / ||M||_op, lambda_x d /
+    Tr M]: mu M <= lambda_x I proves the lower end, and the uniform dual
+    event I / (lambda_x d) of x -> I the upper one.  Probes run Dykstra on
+    mu M, first at the upper end, then at midpoints.  A check whose affine
+    iterate R falls short of mu M by s (min eig(R - mu M) = -s) raises lo to
+    mu lambda_x / (lambda_x + s), witnessed by a mixture of R and
+    lambda_x I; a dual event E of x -> I lowers hi to 1 / Tr[M E].  A probe
+    ends once lo reaches mu (1 - tol) or hi drops below mu, so each one past
+    the first halves the interval.  The search stops when hi - lo <= tol *
+    max(1, lo), or when a probe runs _PROBE_MAX_ITER iterations without
+    ending, and returns lo: the result never exceeds the true scale beyond
+    rounding.
     """
     dims = factor_dims(x)
     mat = _coerce(M, dims)
@@ -439,24 +554,27 @@ def max_admissible_scale(
     trace = float(np.trace(herm).real)
     if trace <= tol:
         raise ValueError("max_admissible_scale needs a nonzero operator")
-    lam = lambda_recursive(x)
-    side = herm.shape[0]
-    bound = float(lam * side) / trace
+    lam, delta, nf_dims = _slice_of(x)
+    lo = lam / float(eigs[-1])
+    hi = lam * herm.shape[0] / trace
 
-    def feasible(mu: float) -> bool:
-        report = check_admissible(mu * herm, x, tol=DEFAULT_FEAS_TOL, max_iter=2000)
-        return report.feasible == "yes"
+    def closed() -> bool:
+        return hi - lo <= tol * max(1.0, lo)
 
-    if feasible(bound):
-        return bound
-    lo = float(lam) / float(eigs[-1])  # mu * M <= lambda I certainly works
-    hi = bound
-    while hi - lo > tol * max(1.0, lo):
-        mid = (lo + hi) / 2
-        if feasible(mid):
-            lo = mid
+    mu = hi
+    while not closed():
+        margin = DEFAULT_TOL * max(1.0, mu * float(eigs[-1]))
+        for step in _dykstra(
+            mu * herm, lam, delta, nf_dims, DEFAULT_FEAS_TOL, _PROBE_MAX_ITER, margin
+        ):
+            lo = max(lo, mu * lam / (lam + step.shortfall))
+            if step.dual_value > 0:
+                hi = min(hi, mu / step.dual_value)
+            if closed() or lo >= mu * (1 - tol) or hi < mu:
+                break
         else:
-            hi = mid
+            break  # mu is neither witnessed nor refuted
+        mu = (lo + hi) / 2
     return lo
 
 
@@ -516,16 +634,15 @@ def matrix_from_json_obj(obj: dict) -> HermOp:
     dims = tuple(int(d) for d in obj["dims"])
     rows = obj["matrix"]
     side = prod(dims) if dims else 1
-    mat = np.zeros((side, side), dtype=complex)
+    # the shape is checked against the rows before anything is allocated
     if len(rows) != side:
         raise ValueError(f"matrix has {len(rows)} rows, expected {side}")
+    entries = []
     for i, row in enumerate(rows):
         if len(row) != side:
             raise ValueError(f"row {i} has {len(row)} entries, expected {side}")
-        for j, pair in enumerate(row):
-            re, im = pair
-            mat[i, j] = complex(float(re), float(im))
-    return HermOp(dims, mat)
+        entries.append([complex(float(re), float(im)) for re, im in row])
+    return HermOp(dims, np.array(entries, dtype=complex).reshape(side, side))
 
 
 def load_matrix(path: str) -> HermOp:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import prod
 from typing import Optional, Sequence
@@ -53,10 +54,17 @@ class AlignmentCapExceeded(ValueError):
     """Equivalence would need a permutation search beyond the supported size."""
 
 
+# Bound of the cache on lambda_recursive, keyed by the frozen type node as
+# the Delta cache is (subspace_algebra._DELTA_CACHE_SIZE).
+_LAMBDA_CACHE_SIZE = 1 << 16
+
+
+@lru_cache(maxsize=_LAMBDA_CACHE_SIZE)
 def lambda_recursive(x: TypeExpr) -> Fraction:
     """The exact identity coefficient λ_x.
 
-    Elementary layer: 1/d.  Arrow: λ_head / (d_tail · λ_tail).
+    Elementary layer: 1/d.  Arrow: λ_head / (d_tail · λ_tail).  Results are
+    cached per type node.
     """
     if isinstance(x, Elementary):
         return Fraction(1, prod(a.dim for a in x.atoms))

@@ -10,7 +10,9 @@ from generators import type_strategy
 from hoq.choi_numeric import (
     DEFAULT_FEAS_TOL,
     HermOp,
+    _dykstra,
     _project_delta_matrix,
+    _slice_of,
     apply_inverse_choi,
     check_admissible,
     check_deterministic,
@@ -30,7 +32,7 @@ from hoq.choi_numeric import (
 )
 from hoq.semantics import lambda_recursive
 from hoq.subspace_algebra import complement_in_T, delta_of_type, perp_in_W
-from hoq.type_ast import factor_dims, make_comb, parse_type, tensor, total_dim
+from hoq.type_ast import bar, factor_dims, make_comb, parse_type, tensor, total_dim
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -434,3 +436,124 @@ def test_random_density_is_density(nprng):
     rho = random_density(3, nprng)
     assert np.trace(rho).real == pytest.approx(1.0)
     assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+
+
+def test_matrix_json_checks_rows_before_allocating():
+    # a side of 10^10 would not fit in memory; the row count is refused first
+    with pytest.raises(ValueError, match="0 rows, expected 10000000000"):
+        matrix_from_json_obj({"dims": [100000, 100000], "matrix": []})
+
+
+# -- admissibility certificates, pinned against the definitional hull --------
+
+
+def hull_residual(mat, x):
+    """Frobenius distance from mat to the affine hull oracles.hull(x)."""
+    offset, dirs = oracles.hull(x)
+    diff = mat - offset
+    coeffs = np.real(np.einsum("kji,ji->k", dirs.conj(), diff))
+    return float(np.linalg.norm(diff - np.einsum("k,kij->ij", coeffs, dirs)))
+
+
+CERTIFICATE_TYPES = ["A:2->I", "A:3", "A:2->B:2", "(A:2->B:2)->C:2", "A:2*B:2->C:2"]
+
+
+@pytest.mark.parametrize("text", CERTIFICATE_TYPES)
+def test_dual_events_lie_in_the_dual_hull(text):
+    x = parse_type(text)
+    side = total_dim(x)
+    lam, delta, nf_dims = _slice_of(x)
+    rng = np.random.default_rng(side)
+    g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    m = g @ g.conj().T / np.trace(g @ g.conj().T).real
+    duals = [
+        step.dual
+        # below and above the trace bound lambda d, where states are refused
+        for trace in (0.9 * lam * side, 1.1 * lam * side)
+        for step in _dykstra(
+            trace * m, lam, delta, nf_dims, DEFAULT_FEAS_TOL, 64, margin=0.0
+        )
+        if step.dual is not None
+    ]
+    assert duals
+    for e in duals:
+        assert np.linalg.eigvalsh(e)[0] >= -1e-12 * np.linalg.norm(e)
+        assert hull_residual(e, bar(x)) <= 1e-9 * max(1.0, np.linalg.norm(e))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    text=st.sampled_from(CERTIFICATE_TYPES),
+    seed=st.integers(0, 2**32 - 1),
+    top=st.floats(0.0, 1.0),
+)
+def test_dominated_inputs_are_admissible_with_a_verified_witness(text, seed, top):
+    x = parse_type(text)
+    side = total_dim(x)
+    rng = np.random.default_rng(seed)
+    r = sample_deterministic(x, seed=seed).matrix
+    vals, vecs = np.linalg.eigh(r)
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+    g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    k = g @ g.conj().T
+    k *= top / np.linalg.eigvalsh(k)[-1]  # 0 <= K, ||K|| = top <= 1
+    m = root @ k @ root
+    report = check_admissible(m, x)
+    assert report.feasible == "yes"
+    w = report.witness.matrix
+    assert hull_residual(w, x) <= 1e-9
+    scale = max(1.0, float(np.linalg.norm(m, 2)))
+    assert np.linalg.eigvalsh(w - m)[0] >= -1e-9 * scale
+
+
+def test_barely_inadmissible_effect_is_not_accepted():
+    x = parse_type("A:2->I")
+    report = check_admissible((1 + 1e-7) * np.diag([1.0, 0.0]).astype(complex), x)
+    assert report.feasible == "no_certificate"
+    assert report.witness is None
+    # the dual event diag(1, 0) refutes it at the first check; the distance
+    # from the slice {I} to {Z >= M} is exactly 1e-7
+    assert report.iterations == 1
+    assert report.final_distance == pytest.approx(1e-7, rel=1e-6)
+
+
+@pytest.mark.parametrize("text", ["A:2->B:2", "(A:2->B:2)->C:2", "A:2*B:2->C:2"])
+def test_inadmissible_pure_state_is_refuted_early(nprng, text):
+    # a pure operator below the trace bound: only a dual event can refute it
+    x = parse_type(text)
+    side = total_dim(x)
+    v = nprng.standard_normal(side) + 1j * nprng.standard_normal(side)
+    m = 0.99 * float(lambda_recursive(x)) * side * np.outer(v, v.conj()) / (v.conj() @ v)
+    report = check_admissible(m, x)
+    assert report.feasible == "no_certificate"
+    assert 1 <= report.iterations <= 64
+    assert report.final_distance > 0
+
+
+def test_scale_of_a_channel_projector_does_not_overshoot():
+    x = parse_type("A:2->B:2")
+    scale = max_admissible_scale(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), x)
+    assert 1 - 1e-6 <= scale <= 1
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_scale_of_an_effect_is_at_most_the_inverse_norm(nprng, d):
+    x = parse_type(f"A:{d}->I")
+    g = random_herm(nprng, d)
+    m = g @ g
+    bound = 1 / np.linalg.eigvalsh(m)[-1]
+    scale = max_admissible_scale(m, x)
+    assert bound * (1 - 1e-6) <= scale <= bound * (1 + 1e-12)  # rounding
+
+
+def test_trace_certificate_rejects_before_any_iteration(nprng):
+    x = parse_type("A:4->B:4")
+    lam = float(lambda_recursive(x))
+    g = random_herm(nprng, 16)
+    m = g @ g
+    m *= 1.5 * lam * 16 / np.trace(m).real
+    report = check_admissible(m, x)
+    assert report.feasible == "no_certificate"
+    assert report.iterations == 0
+    # the uniform dual event gives the distance bound (Tr M - lambda d) / sqrt(d)
+    assert report.final_distance == pytest.approx(0.5 * lam * 16 / 4)

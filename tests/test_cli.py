@@ -432,3 +432,11 @@ def test_schemas_are_valid_json_schema():
     ]:
         schema = load_schema(command, mode)
         jsonschema.Draft202012Validator.check_schema(schema)
+
+
+def test_matrix_row_count_is_checked_before_allocating(invoke, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dims": [100000, 100000], "matrix": []}))
+    code, out, err = invoke("check-det", "--type", "A:100000->B:100000",
+                            "--matrix", str(path))
+    assert code == 2 and out == "" and "0 rows, expected 10000000000" in err
