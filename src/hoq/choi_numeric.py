@@ -47,7 +47,7 @@ from hoq.type_ast import TypeExpr, factor_dims
 
 HERM_TOL = 1e-10        # relative Frobenius bound enforced by HermOp
 DEFAULT_TOL = 1e-9      # membership tolerance
-DEFAULT_FEAS_TOL = 1e-6  # Dykstra stopping distance
+DEFAULT_FEAS_TOL = 1e-6  # check_admissible's PSD precheck tolerance
 DEFAULT_MAX_ITER = 10000
 
 __all__ = [
@@ -309,9 +309,6 @@ class FeasibilityReport:
 # A certificate must beat its threshold by this relative margin, so that
 # rounding in a trace or an eigendecomposition cannot make one.
 _ROUNDING = 1e-10
-# Once the Dykstra distance is within tol, the bounds are checked every this
-# many iterations (before that, at iterations 1, 2, 4, 8, ...).
-_SETTLED_STRIDE = 4
 # Dykstra iterations a single probe of max_admissible_scale may run.
 _PROBE_MAX_ITER = 2000
 
@@ -343,12 +340,6 @@ class _Bounds:
     dual_value: float
 
 
-def _slice_of(x: TypeExpr) -> tuple[float, StringSet, tuple[int, ...]]:
-    """lambda_x, and Delta_x with the dims of the non-trivial factors."""
-    delta, nf_dims = delta_normal_form(x)
-    return float(lambda_recursive(x)), delta, nf_dims.dims
-
-
 def _bounds(
     iteration: int, a: np.ndarray, herm: np.ndarray, margin: float,
     lam: float, delta: StringSet, nf_dims: tuple[int, ...],
@@ -374,23 +365,20 @@ def _bounds(
 
 def _dykstra(
     herm: np.ndarray, lam: float, delta: StringSet, nf_dims: tuple[int, ...],
-    tol: float, max_iter: int, margin: float,
+    max_iter: int, margin: float,
 ):
     """Dykstra's alternating projections between the slice {lambda I +
     Delta} and the cone {Z : Z >= herm}.  Yields the _Bounds of the affine
-    iterate at iterations 1, 2, 4, ..., every _SETTLED_STRIDE iterations
-    once the two iterates are within tol, and at max_iter; no dual event is
+    iterate at iterations 1, 2, 4, ... and at max_iter; no dual event is
     built for a shortfall within margin."""
     eye = np.eye(herm.shape[0], dtype=complex)
     y = herm
     p = np.zeros_like(y)
     q = np.zeros_like(y)
-    distance = float("inf")
     next_check = 1
     for iteration in range(1, max_iter + 1):
         a = lam * eye + _project_delta_matrix(y + p, nf_dims, delta)
-        settled = distance <= tol and iteration % _SETTLED_STRIDE == 0
-        if iteration in (next_check, max_iter) or settled:
+        if iteration in (next_check, max_iter):
             if iteration == next_check:
                 next_check *= 2
             yield _bounds(iteration, a, herm, margin, lam, delta, nf_dims)
@@ -398,7 +386,6 @@ def _dykstra(
         b = herm + _psd_clip(a + q - herm)
         q = a + q - b
         y = b
-        distance = _fro(a - b)
 
 
 def check_admissible(
@@ -411,13 +398,14 @@ def check_admissible(
 
     M is admissible iff M >= 0 and some R in the deterministic affine slice
     satisfies R - M >= 0.  A non-PSD M (min eigenvalue < -tol) is rejected at
-    the precheck (final_distance inf).  Every deterministic event E of the
-    dual type x -> I is PSD with Tr[R E] = 1 on the slice, so Tr[M E] > 1
-    proves M inadmissible: the uniform one, I / (lambda_x d), rejects
-    Tr M > lambda_x d before any iteration.  Otherwise Dykstra's alternating
-    projections run between the slice and the shifted cone {Z : Z >= M}; at
-    checks (iterations 1, 2, 4, ... and often once the iterates are within
-    tol) the affine iterate's negative part relative to M yields a dual
+    the precheck (final_distance inf); tol sets only this precheck, as a
+    witness must dominate M within DEFAULT_TOL * max(1, ||M||_op).  Every
+    deterministic event E of the dual type x -> I is PSD with Tr[R E] = 1 on
+    the slice, so Tr[M E] > 1 proves M inadmissible: the uniform one,
+    I / (lambda_x d), rejects Tr M > lambda_x d before any iteration.
+    Otherwise Dykstra's alternating projections run between the slice and
+    the shifted cone {Z : Z >= M}; at checks (iterations 1, 2, 4, ... and
+    max_iter) the affine iterate's negative part relative to M yields a dual
     event.  The answer is:
 
     * "yes" once the affine iterate R verifies min eig(R - M) >=
@@ -435,14 +423,15 @@ def check_admissible(
     eigs = np.linalg.eigvalsh(herm)
     if float(eigs[0]) < -tol:
         return FeasibilityReport("no_certificate", None, 0, float("inf"))
-    lam, delta, nf_dims = _slice_of(x)
+    delta, nf_dims = delta_normal_form(x)
+    lam = float(lambda_recursive(x))
     side = herm.shape[0]
     excess = float(np.trace(herm).real) - lam * side
     if excess > _ROUNDING * lam * side:
         return FeasibilityReport("no_certificate", None, 0, excess / np.sqrt(side))
     margin = DEFAULT_TOL * max(1.0, float(eigs[-1]), -float(eigs[0]))
     gap = float("inf")
-    for step in _dykstra(herm, lam, delta, nf_dims, tol, max_iter, margin):
+    for step in _dykstra(herm, lam, delta, nf_dims.dims, max_iter, margin):
         if step.shortfall <= margin:
             return FeasibilityReport(
                 "yes", HermOp(dims, step.witness), step.iteration, step.gap
@@ -539,11 +528,11 @@ def max_admissible_scale(
     iterate R falls short of mu M by s (min eig(R - mu M) = -s) raises lo to
     mu lambda_x / (lambda_x + s), witnessed by a mixture of R and
     lambda_x I; a dual event E of x -> I lowers hi to 1 / Tr[M E].  A probe
-    ends once lo reaches mu (1 - tol) or hi drops below mu, so each one past
-    the first halves the interval.  The search stops when hi - lo <= tol *
-    max(1, lo), or when a probe runs _PROBE_MAX_ITER iterations without
-    ending, and returns lo: the result never exceeds the true scale beyond
-    rounding.
+    ends once lo reaches mu (1 - tol) or hi drops below mu.  The search
+    stops when hi - lo <= tol * max(1, lo), when a probe moves neither end
+    (probes are deterministic, so the next would repeat it), or when a probe
+    runs _PROBE_MAX_ITER iterations without ending, and returns lo: the
+    result never exceeds the true scale beyond rounding.
     """
     dims = factor_dims(x)
     mat = _coerce(M, dims)
@@ -554,7 +543,8 @@ def max_admissible_scale(
     trace = float(np.trace(herm).real)
     if trace <= tol:
         raise ValueError("max_admissible_scale needs a nonzero operator")
-    lam, delta, nf_dims = _slice_of(x)
+    delta, nf_dims = delta_normal_form(x)
+    lam = float(lambda_recursive(x))
     lo = lam / float(eigs[-1])
     hi = lam * herm.shape[0] / trace
 
@@ -563,9 +553,10 @@ def max_admissible_scale(
 
     mu = hi
     while not closed():
+        before = (lo, hi)
         margin = DEFAULT_TOL * max(1.0, mu * float(eigs[-1]))
         for step in _dykstra(
-            mu * herm, lam, delta, nf_dims, DEFAULT_FEAS_TOL, _PROBE_MAX_ITER, margin
+            mu * herm, lam, delta, nf_dims.dims, _PROBE_MAX_ITER, margin
         ):
             lo = max(lo, mu * lam / (lam + step.shortfall))
             if step.dual_value > 0:
@@ -574,6 +565,8 @@ def max_admissible_scale(
                 break
         else:
             break  # mu is neither witnessed nor refuted
+        if (lo, hi) == before:
+            break  # the next probe would repeat this one
         mu = (lo + hi) / 2
     return lo
 

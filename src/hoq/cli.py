@@ -130,7 +130,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-adm", help="admissible-event feasibility")
     p.add_argument("--type", required=True)
     p.add_argument("--matrix", required=True, help="matrix JSON file")
-    p.add_argument("--tol", type=_positive_float, default=DEFAULT_FEAS_TOL)
+    p.add_argument(
+        "--tol",
+        type=_positive_float,
+        default=DEFAULT_FEAS_TOL,
+        help="tolerance of the PSD precheck only; a witness must dominate"
+        " the input within 1e-9 * max(1, ||M||_op)",
+    )
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
 
     p = sub.add_parser("sample-det", help="draw a deterministic event")

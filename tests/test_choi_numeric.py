@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 import oracles
 from generators import type_strategy
+from hoq import choi_numeric
 from hoq.choi_numeric import (
     DEFAULT_FEAS_TOL,
     HermOp,
     _dykstra,
     _project_delta_matrix,
-    _slice_of,
     apply_inverse_choi,
     check_admissible,
     check_deterministic,
@@ -31,7 +31,12 @@ from hoq.choi_numeric import (
     save_matrix,
 )
 from hoq.semantics import lambda_recursive
-from hoq.subspace_algebra import complement_in_T, delta_of_type, perp_in_W
+from hoq.subspace_algebra import (
+    complement_in_T,
+    delta_normal_form,
+    delta_of_type,
+    perp_in_W,
+)
 from hoq.type_ast import bar, factor_dims, make_comb, parse_type, tensor, total_dim
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -462,7 +467,8 @@ CERTIFICATE_TYPES = ["A:2->I", "A:3", "A:2->B:2", "(A:2->B:2)->C:2", "A:2*B:2->C
 def test_dual_events_lie_in_the_dual_hull(text):
     x = parse_type(text)
     side = total_dim(x)
-    lam, delta, nf_dims = _slice_of(x)
+    delta, nf_dims = delta_normal_form(x)
+    lam = float(lambda_recursive(x))
     rng = np.random.default_rng(side)
     g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
     m = g @ g.conj().T / np.trace(g @ g.conj().T).real
@@ -470,9 +476,7 @@ def test_dual_events_lie_in_the_dual_hull(text):
         step.dual
         # below and above the trace bound lambda d, where states are refused
         for trace in (0.9 * lam * side, 1.1 * lam * side)
-        for step in _dykstra(
-            trace * m, lam, delta, nf_dims, DEFAULT_FEAS_TOL, 64, margin=0.0
-        )
+        for step in _dykstra(trace * m, lam, delta, nf_dims.dims, 64, margin=0.0)
         if step.dual is not None
     ]
     assert duals
@@ -523,7 +527,8 @@ def test_inadmissible_pure_state_is_refuted_early(nprng, text):
     x = parse_type(text)
     side = total_dim(x)
     v = nprng.standard_normal(side) + 1j * nprng.standard_normal(side)
-    m = 0.99 * float(lambda_recursive(x)) * side * np.outer(v, v.conj()) / (v.conj() @ v)
+    lam = float(lambda_recursive(x))
+    m = 0.99 * lam * side * np.outer(v, v.conj()) / (v.conj() @ v)
     report = check_admissible(m, x)
     assert report.feasible == "no_certificate"
     assert 1 <= report.iterations <= 64
@@ -534,6 +539,36 @@ def test_scale_of_a_channel_projector_does_not_overshoot():
     x = parse_type("A:2->B:2")
     scale = max_admissible_scale(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), x)
     assert 1 - 1e-6 <= scale <= 1
+
+
+@pytest.mark.parametrize(
+    "text, seed, tol",
+    [
+        ("(A:2->B:2)->C:2", 0, 1e-2),
+        ("(A:2->B:2)->C:2", 8, 1e-4),
+        ("A:2->B:2", 0, 1e-2),
+        ("A:2->B:2", 1, 1e-4),
+    ],
+)
+def test_scale_search_with_a_coarse_tol_ends(monkeypatch, text, seed, tol):
+    # with a coarse tol a probe can stop before it moves either end; the
+    # search must end there rather than repeat the same probe forever
+    x = parse_type(text)
+    side = total_dim(x)
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    m = g @ g.conj().T / np.trace(g @ g.conj().T).real
+    dykstra, probes = choi_numeric._dykstra, []
+
+    def counted(*args, **kwargs):
+        probes.append(None)
+        assert len(probes) <= 64, "the scale search repeats its probes"
+        return dykstra(*args, **kwargs)
+
+    monkeypatch.setattr(choi_numeric, "_dykstra", counted)
+    scale = max_admissible_scale(m, x, tol=tol)
+    lam = float(lambda_recursive(x))
+    assert lam / np.linalg.eigvalsh(m)[-1] <= scale <= lam * side * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
