@@ -27,7 +27,8 @@ event. max_admissible_scale narrows an interval [lo, hi] with both and
 returns lo.
 
 Matrix file format (JSON): {"dims": [d1, .., dk], "matrix": [[[re, im], ..]]},
-row-major over the full product space; non-finite entries are refused.
+row-major over the full product space; non-finite entries and sides above
+MAX_SIDE are refused.
 """
 
 from __future__ import annotations
@@ -43,12 +44,13 @@ import numpy as np
 
 from hoq.semantics import lambda_recursive
 from hoq.subspace_algebra import StringSet, complement_in_T, delta_normal_form
+from hoq.tolerances import DEFAULT_FEAS_TOL, DEFAULT_MAX_ITER, DEFAULT_TOL
 from hoq.type_ast import TypeExpr, factor_dims
 
 HERM_TOL = 1e-10        # relative Frobenius bound enforced by HermOp
-DEFAULT_TOL = 1e-9      # membership tolerance
-DEFAULT_FEAS_TOL = 1e-6  # check_admissible's PSD precheck tolerance
-DEFAULT_MAX_ITER = 10000
+# Largest matrix side sampled or loaded: a complex side-2048 matrix takes
+# 64 MiB, and a check holds a few of them.
+MAX_SIDE = 2048
 
 __all__ = [
     "HermOp",
@@ -71,6 +73,7 @@ __all__ = [
     "load_matrix",
     "save_matrix",
     "HERM_TOL",
+    "MAX_SIDE",
     "DEFAULT_TOL",
     "DEFAULT_FEAS_TOL",
     "DEFAULT_MAX_ITER",
@@ -126,6 +129,15 @@ def _coerce(op: OperatorLike, dims: Sequence[int]) -> np.ndarray:
         # NaN fails every comparison, so the tolerance gates would pass it
         raise ValueError("matrix has non-finite entries")
     return mat
+
+
+def _checked_side(dims: Sequence[int]) -> int:
+    """The matrix side over ``dims``, refused above MAX_SIDE before any
+    matrix of that side is allocated."""
+    side = prod(dims) if dims else 1
+    if side > MAX_SIDE:
+        raise ValueError(f"matrix side {side} exceeds the limit {MAX_SIDE}")
+    return side
 
 
 def identity_op(dims: Sequence[int]) -> HermOp:
@@ -461,7 +473,7 @@ def sample_deterministic(
     if not 0.0 < spread <= 1.0:
         raise ValueError(f"spread must lie in (0, 1], got {spread}")
     dims = factor_dims(x)
-    side = prod(dims)
+    side = _checked_side(dims)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
     g = (g + g.conj().T) / 2
@@ -492,6 +504,7 @@ def oracle_deterministic(
     operators passing check_deterministic for y.
     """
     dims = factor_dims(x) + factor_dims(y)
+    _checked_side(dims)
     mat = _coerce(M, dims)
     norm = _fro(mat)
     if _fro(mat - mat.conj().T) > tol * max(1.0, norm):
@@ -627,9 +640,11 @@ def matrix_from_json_obj(obj: dict) -> HermOp:
     dims = tuple(int(d) for d in obj["dims"])
     rows = obj["matrix"]
     side = prod(dims) if dims else 1
-    # the shape is checked against the rows before anything is allocated
+    # the shape is checked against the rows, and the side against MAX_SIDE,
+    # before anything is allocated
     if len(rows) != side:
         raise ValueError(f"matrix has {len(rows)} rows, expected {side}")
+    _checked_side(dims)
     entries = []
     for i, row in enumerate(rows):
         if len(row) != side:

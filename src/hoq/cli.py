@@ -11,6 +11,10 @@ branch without parsing:
 
 Output is byte-identical across runs for a fixed argv and seed.  JSON
 payloads validate against the schemas shipped in hoq/schemas/.
+
+Only the numeric subcommands (check-det, check-adm, sample-det, oracle-det
+and comb norm) import hoq.choi_numeric, and with it numpy, in their
+handlers; the exact ones start without numpy.
 """
 
 from __future__ import annotations
@@ -21,20 +25,8 @@ import math
 import sys
 from fractions import Fraction
 from importlib import resources
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from hoq.choi_numeric import (
-    DEFAULT_FEAS_TOL,
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    HermOp,
-    check_admissible,
-    check_deterministic,
-    load_matrix,
-    matrix_to_json_obj,
-    oracle_deterministic,
-    sample_deterministic,
-)
 from hoq.comb_toolkit import (
     CombSpec,
     check_comb_normalization,
@@ -46,6 +38,7 @@ from hoq.comb_toolkit import (
 from hoq.inverse_search import SearchSpec, inverse_search
 from hoq.semantics import check_equiv, delta_dimension, upsilon
 from hoq.subspace_algebra import from_json_obj
+from hoq.tolerances import DEFAULT_FEAS_TOL, DEFAULT_MAX_ITER, DEFAULT_TOL
 from hoq.type_ast import (
     Arrow,
     ParseError,
@@ -55,6 +48,9 @@ from hoq.type_ast import (
     total_dim,
     type_depth,
 )
+
+if TYPE_CHECKING:
+    from hoq.choi_numeric import HermOp
 
 __all__ = ["run", "main", "schema_name"]
 
@@ -221,6 +217,8 @@ def _cmd_equiv(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _load_matrix_with_dims(path: str, dims: tuple[int, ...], what: str) -> HermOp:
     """Load a matrix file whose factor dims must equal `dims` (named `what`)."""
+    from hoq.choi_numeric import load_matrix
+
     op = load_matrix(path)
     if op.dims != dims:
         raise ValueError(
@@ -230,6 +228,8 @@ def _load_matrix_with_dims(path: str, dims: tuple[int, ...], what: str) -> HermO
 
 
 def _cmd_check_det(args: argparse.Namespace) -> tuple[dict, int]:
+    from hoq.choi_numeric import check_deterministic
+
     x = parse_type(args.type)
     op = _load_matrix_with_dims(args.matrix, factor_dims(x), "the type's factors")
     report = check_deterministic(op.matrix, x, tol=args.tol)
@@ -246,6 +246,8 @@ def _cmd_check_det(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_check_adm(args: argparse.Namespace) -> tuple[dict, int]:
+    from hoq.choi_numeric import check_admissible, matrix_to_json_obj
+
     x = parse_type(args.type)
     op = _load_matrix_with_dims(args.matrix, factor_dims(x), "the type's factors")
     report = check_admissible(op.matrix, x, tol=args.tol, max_iter=args.max_iter)
@@ -263,6 +265,8 @@ def _cmd_check_adm(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_sample_det(args: argparse.Namespace) -> tuple[dict, int]:
+    from hoq.choi_numeric import matrix_to_json_obj, sample_deterministic
+
     op = sample_deterministic(
         parse_type(args.type), seed=args.seed, spread=args.spread
     )
@@ -270,6 +274,8 @@ def _cmd_sample_det(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_oracle_det(args: argparse.Namespace) -> tuple[dict, int]:
+    from hoq.choi_numeric import oracle_deterministic
+
     x = parse_type(args.type)
     y = parse_type(args.cotype)
     op = _load_matrix_with_dims(
@@ -303,6 +309,8 @@ def _cmd_comb(args: argparse.Namespace) -> tuple[dict, int]:
     if args.mode == "norm":
         if args.matrix is None:
             raise ValueError("comb norm needs --matrix")
+        from hoq.choi_numeric import load_matrix
+
         op = load_matrix(args.matrix)
         ok = check_comb_normalization(op, spec, tol=args.tol)
         return {"verdict": ok, "tolerance": args.tol}, 0 if ok else 1

@@ -6,6 +6,9 @@ For channel-shaped teeth A_i -> B_i it is equivalent to the elementary-layer
 chain E_1 .. E_2n with E_i = A_{n-i+1} for i <= n and E_i = B_{i-n} above,
 i.e. the familiar two-sided layout (A_n, .., A_1, B_1, .., B_n); the
 permutation realizing the equivalence comes from comb_equiv_permutation.
+
+Only check_comb_normalization and random_comb_choi use numpy; they import it
+when called, so the exact closed forms load without it.
 """
 
 from __future__ import annotations
@@ -13,13 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
-
-from hoq.choi_numeric import HermOp, partial_trace
 from hoq.semantics import lambda_recursive
 from hoq.subspace_algebra import (
+    MAX_EXPLICIT_FACTORS,
+    CapacityError,
     StringSet,
     complement_in_T,
     concat,
@@ -36,11 +38,17 @@ from hoq.type_ast import (
     Atom,
     Elementary,
     TypeExpr,
+    factor_dims,
     make_comb,
     natural_structure,
     print_structure,
     total_dim,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from hoq.choi_numeric import HermOp
 
 __all__ = [
     "CombSpec",
@@ -107,8 +115,16 @@ def comb_delta_closed(spec: CombSpec) -> StringSet:
     """Index set of the n-comb by the closed union formula (full positions).
 
     Agrees with delta_of_type(spec.derived); the two routes are independent
-    and tested against each other.
+    and tested against each other.  A comb over more than
+    MAX_EXPLICIT_FACTORS positions raises CapacityError before any block is
+    built.
     """
+    positions = sum(len(factor_dims(b)) for b in spec.bases)
+    if positions > MAX_EXPLICIT_FACTORS:
+        raise CapacityError(
+            f"the comb has {positions} factor positions; its index set is "
+            f"built explicitly up to {MAX_EXPLICIT_FACTORS}"
+        )
     n = spec.n
     teeth = _tooth_sets(spec)
 
@@ -221,6 +237,10 @@ def check_comb_normalization(
     R^(k-1), with the final scalar equal to 1.  Each residual is measured in
     Frobenius norm relative to max(1, ||R||).
     """
+    import numpy as np
+
+    from hoq.choi_numeric import HermOp, partial_trace
+
     ins, outs = _channel_slots(spec)
     n = spec.n
     slot_dims = tuple(reversed(ins)) + tuple(outs)
@@ -262,6 +282,10 @@ def random_comb_choi(
     expanded comb_equiv_permutation gives a deterministic element of
     spec.derived.
     """
+    import numpy as np
+
+    from hoq.choi_numeric import HermOp
+
     ins, outs = _channel_slots(spec)
     wire_dims = tuple(reversed(ins)) + tuple(outs)
     n = spec.n

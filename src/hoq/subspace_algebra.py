@@ -23,6 +23,9 @@ from typing import Iterable, Iterator, Sequence
 from hoq.type_ast import Arrow, Elementary, TypeExpr, factor_dims
 
 MAX_FACTORS = 64
+# W is materialized string by string, so it is refused beyond this length:
+# 2^24 strings already take about a gigabyte.
+MAX_EXPLICIT_FACTORS = 24
 
 
 class CapacityError(ValueError):
@@ -104,9 +107,10 @@ class FactorProfile:
 
 
 def _everything(length: int) -> frozenset[int]:
-    """The strings of W at the given length.  They are materialized one by one,
-    so beyond 2^24 they are a memory hazard, not an index set, and refused."""
-    if not 0 <= length <= 24:
+    """The strings of W at the given length, refused beyond
+    MAX_EXPLICIT_FACTORS positions: there they are a memory hazard, not an
+    index set."""
+    if not 0 <= length <= MAX_EXPLICIT_FACTORS:
         raise CapacityError(f"refusing to materialize 2^{length} strings")
     return frozenset(range(1 << length))
 

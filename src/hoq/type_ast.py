@@ -39,6 +39,7 @@ __all__ = [
     "TypeStructure",
     "ParseError",
     "TRIVIAL_LABEL",
+    "MAX_NESTING",
     "parse_type",
     "print_canonical",
     "print_structure",
@@ -57,6 +58,12 @@ __all__ = [
 ]
 
 TRIVIAL_LABEL = "I"
+
+# Deepest nesting the parser accepts: each parenthesized type and each right
+# side of an arrow opens a level, so a parsed type is at most this deep.  The
+# recursions over a type take a few frames per level, which keeps them far
+# below Python's default recursion limit of 1000.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -177,6 +184,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -189,12 +197,17 @@ class _Parser:
         return tok
 
     def parse_type(self) -> TypeExpr:
-        left = self.parse_term()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"type nested deeper than {MAX_NESTING} levels", self.peek()[2]
+            )
+        expr = self.parse_term()
         if self.peek()[0] == "ARROW":
             self.take("ARROW")
-            right = self.parse_type()  # right associative
-            return Arrow(left, right)
-        return left
+            expr = Arrow(expr, self.parse_type())  # right associative
+        self.depth -= 1
+        return expr
 
     def parse_term(self) -> TypeExpr:
         kind, _, _ = self.peek()
@@ -238,8 +251,9 @@ class _Parser:
 def parse_type(text: str) -> TypeExpr:
     """Parse the concrete syntax into a type expression.
 
-    Raises :class:`ParseError` (a ``ValueError``) on malformed input, with
-    the offending character position attached.
+    Raises :class:`ParseError` (a ``ValueError``) on malformed input and on
+    nesting deeper than MAX_NESTING, with the offending character position
+    attached.
     """
     parser = _Parser(text)
     expr = parser.parse_type()

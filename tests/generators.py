@@ -40,6 +40,14 @@ def random_type(
     return build(max_depth)
 
 
+def nested_trivial(depth: int) -> tuple[str, str]:
+    """All-trivial type texts of the given depth: right- and left-nested."""
+    left = "I"
+    for _ in range(depth - 1):
+        left = f"({left})->I"
+    return "->".join(["I"] * depth), left
+
+
 def _atom_strategy(dims: tuple[int, ...]) -> st.SearchStrategy[Atom]:
     def mk(d: int, i: int) -> Atom:
         if d == 1:

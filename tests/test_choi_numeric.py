@@ -449,6 +449,22 @@ def test_matrix_json_checks_rows_before_allocating():
         matrix_from_json_obj({"dims": [100000, 100000], "matrix": []})
 
 
+def test_sides_above_the_limit_are_refused_before_allocating():
+    limit = choi_numeric.MAX_SIDE
+    # matching empty rows: the side is refused before any row is read
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        matrix_from_json_obj({"dims": [limit + 1], "matrix": [[]] * (limit + 1)})
+    with pytest.raises(ValueError, match="row 0 has 0 entries"):
+        matrix_from_json_obj({"dims": [limit], "matrix": [[]] * limit})
+    # a side of 2^20: the dense sample would need 16 TiB
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        sample_deterministic(parse_type("A:1024->B:1024"))
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        oracle_deterministic(
+            np.eye(1, dtype=complex), parse_type("A:1024"), parse_type("B:1024")
+        )
+
+
 # -- admissibility certificates, pinned against the definitional hull --------
 
 

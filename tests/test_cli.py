@@ -1,12 +1,19 @@
 """End-to-end command line checks: payloads, schemas, exit codes, formats."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
-from hoq import cli
+import hoq
+from generators import nested_trivial
+from hoq import cli, type_ast
 from hoq.choi_numeric import HermOp, save_matrix
 from hoq.cli import load_schema, run, schema_name
 
@@ -440,3 +447,105 @@ def test_matrix_row_count_is_checked_before_allocating(invoke, tmp_path):
     code, out, err = invoke("check-det", "--type", "A:100000->B:100000",
                             "--matrix", str(path))
     assert code == 2 and out == "" and "0 rows, expected 10000000000" in err
+
+
+# -- refusals at the boundary and the numpy-free exact subcommands ----------------
+
+SRC = str(Path(hoq.__file__).resolve().parent.parent)
+
+
+def python_with_src(args, **kwargs):
+    """Run a fresh interpreter that loads the package from this checkout."""
+    env = dict(os.environ)
+    extra = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = SRC + (os.pathsep + extra if extra else "")
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, **kwargs
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 3000 + "A" + ")" * 3000, "A:2->" * 3000],
+    ids=["parentheses", "arrows"],
+)
+def test_deep_nesting_exits_2(invoke, text):
+    code, out, err = invoke("parse", text)
+    assert code == 2 and out == "" and "nested deeper" in err
+
+
+def test_sem_at_the_nesting_bound(invoke):
+    for text in nested_trivial(type_ast.MAX_NESTING):
+        code, out, err = invoke("sem", text)
+        assert code == 0 and err == ""
+        payload = validated(out, "sem")
+        assert payload["delta"] == [] and payload["total_dim"] == 1
+
+
+def test_sample_det_refuses_an_oversize_side(invoke):
+    code, out, err = invoke("sample-det", "--type", "A:1024->B:1024")
+    assert code == 2 and out == "" and "exceeds the limit" in err
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_comb_delta_refuses_too_many_factors_early():
+    # 26 factor positions: built block by block, the index set would exhaust
+    # memory, so the child runs under a 1 GiB address-space limit
+    proc = python_with_src(
+        ["-m", "hoq.cli", "comb", "delta", "--base", "A:2->B:2", "--n", "13"],
+        timeout=10,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "26 factor positions" in proc.stderr
+
+
+_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+if sys.argv[2] == "preload":
+    import hoq.comb_toolkit, hoq.inverse_search
+from hoq.cli import run
+seen = ["numpy" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        seen.append([run(argv), "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize("preload", ["none", "preload"])
+def test_exact_subcommands_run_without_numpy(tmp_path, preload):
+    index_set = write_index_set(tmp_path / "t.json", (2,), ["0"])
+    calls = [
+        (["parse", "A->B"], 0),
+        (["sem", "(A:2->B:2)->C:2"], 0),
+        (["equiv", "(A:2->I)->I", "A:2"], 0),
+        (["comb", "delta", "--base", "A:2->B:2", "--n", "2"], 0),
+        (["comb", "lambda", "--base", "A:2->B:2", "--n", "2"], 0),
+        (["comb", "equiv-perm", "--base", "A:2->B:2", "--n", "2"], 0),
+        (["inverse", "--dims", "2", "--delta", index_set, "--max-depth", "2"], 0),
+        (["equiv", "A:2"], 2),
+    ]
+    proc = python_with_src(
+        ["-c", _WITHOUT_NUMPY, json.dumps([argv for argv, _ in calls]), preload],
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen == [False] + [[code, False] for _, code in calls]
+
+
+def test_parser_defaults_are_the_numeric_defaults():
+    from hoq import choi_numeric
+
+    parser = cli._build_parser()
+    det = parser.parse_args(["check-det", "--type", "A", "--matrix", "m.json"])
+    adm = parser.parse_args(["check-adm", "--type", "A", "--matrix", "m.json"])
+    comb = parser.parse_args(["comb", "norm", "--base", "A->B", "--n", "1"])
+    assert det.tol == comb.tol == choi_numeric.DEFAULT_TOL
+    assert adm.tol == choi_numeric.DEFAULT_FEAS_TOL
+    assert adm.max_iter == choi_numeric.DEFAULT_MAX_ITER

@@ -5,7 +5,8 @@ import re
 import pytest
 from hypothesis import given
 
-from generators import type_strategy
+from generators import nested_trivial, type_strategy
+from hoq import type_ast
 from hoq.type_ast import (
     Arrow,
     Atom,
@@ -192,3 +193,21 @@ def test_structures():
 @given(type_strategy())
 def test_every_type_belongs_to_its_own_structure(x):
     assert belongs_to(x, natural_structure(x))
+
+
+def test_nesting_bound_is_exact():
+    for text in nested_trivial(type_ast.MAX_NESTING):
+        assert type_depth(parse_type(text)) == type_ast.MAX_NESTING
+    for text in nested_trivial(type_ast.MAX_NESTING + 1):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_type(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 3000 + "A" + ")" * 3000, "A:2->" * 3000],
+    ids=["parentheses", "arrows"],
+)
+def test_deep_nesting_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_type(text)
