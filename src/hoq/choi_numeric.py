@@ -286,7 +286,7 @@ def check_deterministic(
     lam_expected = lambda_recursive(x)
     lam_measured = float(np.trace(herm).real) / side
     delta, nf_dims = delta_normal_form(x)
-    outside = _project_delta_matrix(herm, nf_dims.dims, complement_in_T(delta))
+    outside = _project_delta_matrix(herm, nf_dims, complement_in_T(delta))
     residual = _fro(outside) / max(1.0, norm)
     verdict = (
         herm_residual <= tol
@@ -443,7 +443,7 @@ def check_admissible(
         return FeasibilityReport("no_certificate", None, 0, excess / np.sqrt(side))
     margin = DEFAULT_TOL * max(1.0, float(eigs[-1]), -float(eigs[0]))
     gap = float("inf")
-    for step in _dykstra(herm, lam, delta, nf_dims.dims, max_iter, margin):
+    for step in _dykstra(herm, lam, delta, nf_dims, max_iter, margin):
         if step.shortfall <= margin:
             return FeasibilityReport(
                 "yes", HermOp(dims, step.witness), step.iteration, step.gap
@@ -478,7 +478,7 @@ def sample_deterministic(
     g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
     g = (g + g.conj().T) / 2
     delta, nf_dims = delta_normal_form(x)
-    fluct = _project_delta_matrix(g, nf_dims.dims, delta)
+    fluct = _project_delta_matrix(g, nf_dims, delta)
     lam = float(lambda_recursive(x))
     eigs = np.linalg.eigvalsh(fluct)
     op_norm = float(max(abs(eigs[0]), abs(eigs[-1]))) if eigs.size else 0.0
@@ -569,7 +569,7 @@ def max_admissible_scale(
         before = (lo, hi)
         margin = DEFAULT_TOL * max(1.0, mu * float(eigs[-1]))
         for step in _dykstra(
-            mu * herm, lam, delta, nf_dims.dims, _PROBE_MAX_ITER, margin
+            mu * herm, lam, delta, nf_dims, _PROBE_MAX_ITER, margin
         ):
             lo = max(lo, mu * lam / (lam + step.shortfall))
             if step.dual_value > 0:

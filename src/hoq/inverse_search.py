@@ -105,32 +105,6 @@ class SearchSpec:
                 raise ValueError("target_lambda must be positive")
             object.__setattr__(self, "target_lambda", lam)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "target": self.target.as_bitstrings(),
-            "max_depth": self.max_depth,
-            "max_trivial_leaves": self.max_trivial_leaves,
-            "allow_permutations": self.allow_permutations,
-            "target_lambda": (
-                None if self.target_lambda is None else str(self.target_lambda)
-            ),
-        }
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "SearchSpec":
-        dims = tuple(int(d) for d in obj["dims"])
-        target = StringSet.from_bitstrings(len(dims), obj["target"])
-        lam = obj.get("target_lambda")
-        return SearchSpec(
-            dims=dims,
-            target=target,
-            max_depth=int(obj["max_depth"]),
-            max_trivial_leaves=int(obj.get("max_trivial_leaves", 2)),
-            allow_permutations=bool(obj.get("allow_permutations", False)),
-            target_lambda=None if lam is None else Fraction(lam),
-        )
-
 
 @dataclass(frozen=True)
 class SearchResult:

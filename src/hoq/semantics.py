@@ -16,21 +16,8 @@ from itertools import permutations
 from math import prod
 from typing import Optional, Sequence
 
-from hoq.subspace_algebra import (
-    FactorProfile,
-    StringSet,
-    complement_in_T,
-    delta_normal_form,
-    permute,
-)
-from hoq.type_ast import (
-    Arrow,
-    Elementary,
-    TypeExpr,
-    bar,
-    tensor,
-    total_dim,
-)
+from hoq.subspace_algebra import StringSet, delta_normal_form, permute
+from hoq.type_ast import Elementary, TypeExpr, total_dim
 
 __all__ = [
     "TypeSemantics",
@@ -42,7 +29,6 @@ __all__ = [
     "upsilon",
     "find_alignment",
     "check_equiv",
-    "check_identity",
 ]
 
 # Permutation search is factorial; above this many non-trivial factors we
@@ -107,7 +93,7 @@ class TypeSemantics:
 
     lambda_: Fraction
     delta: StringSet
-    dims: FactorProfile
+    dims: tuple[int, ...]
     total_dim: int
 
 
@@ -137,27 +123,18 @@ class EquivalenceVerdict:
     permutation: Optional[tuple[int, ...]]
 
 
-def _aligns(
-    sx: TypeSemantics, sy: TypeSemantics, perm: Sequence[int]
-) -> bool:
-    if tuple(sy.dims) != tuple(sx.dims.dims[p] for p in perm):
-        return False
-    return permute(sx.delta, perm) == sy.delta
-
-
 def find_alignment(
     delta_x: StringSet,
     dims_x: Sequence[int],
     delta_y: StringSet,
     dims_y: Sequence[int],
-    cap: int = ALIGNMENT_CAP,
 ) -> Optional[tuple[int, ...]]:
     """Least permutation carrying (delta_x, dims_x) onto (delta_y, dims_y).
 
     Gather convention: candidate perm matches when dims_y[i] == dims_x[perm[i]]
     for all i and permute(delta_x, perm) == delta_y.  Identity is tried first;
     None when no alignment exists; :class:`AlignmentCapExceeded` when more
-    than ``cap`` positions would have to be searched.
+    than ``ALIGNMENT_CAP`` positions would have to be searched.
     """
     dims_x = tuple(dims_x)
     dims_y = tuple(dims_y)
@@ -168,9 +145,9 @@ def find_alignment(
         return tuple(range(k))
     if sorted(dims_x) != sorted(dims_y) or len(delta_x) != len(delta_y):
         return None
-    if k > cap:
+    if k > ALIGNMENT_CAP:
         raise AlignmentCapExceeded(
-            f"{k} non-trivial factors exceed the search cap {cap}; "
+            f"{k} non-trivial factors exceed the search cap {ALIGNMENT_CAP}; "
             f"pass an explicit permutation"
         )
     for cand in permutations(range(k)):
@@ -189,95 +166,29 @@ def check_equiv(
 ) -> EquivalenceVerdict:
     """Decide x ≡ y: equal λ and matching index data under a factor alignment.
 
-    With an explicit ``perm`` only that alignment is verified.  Otherwise the
-    identity alignment is tried first and, when ``search`` is enabled, a
-    bounded search over dimension-compatible permutations follows (the
-    lexicographically least witness is reported).  More than
-    ``ALIGNMENT_CAP`` non-trivial factors without an explicit permutation
-    raises :class:`AlignmentCapExceeded` rather than guessing.
+    With an explicit ``perm`` only that alignment is verified, and with
+    ``search`` off only the identity.  Otherwise find_alignment reports the
+    lexicographically least witness, trying the identity first; more than
+    ``ALIGNMENT_CAP`` non-trivial factors raise :class:`AlignmentCapExceeded`
+    rather than guessing.
     """
     sx = upsilon(x)
     sy = upsilon(y)
+    k = len(sx.dims)
     if perm is not None:
         perm = tuple(int(p) for p in perm)
-        if sorted(perm) != list(range(len(sx.dims))):
-            raise ValueError(
-                f"perm must permute range({len(sx.dims)}), got {perm}"
-            )
-        if len(sy.dims) != len(sx.dims) or sx.lambda_ != sy.lambda_:
-            return EquivalenceVerdict(False, None)
-        ok = _aligns(sx, sy, perm)
-        return EquivalenceVerdict(ok, perm if ok else None)
-
-    if sx.lambda_ != sy.lambda_ or len(sx.dims) != len(sy.dims):
+        if sorted(perm) != list(range(k)):
+            raise ValueError(f"perm must permute range({k}), got {perm}")
+    if sx.lambda_ != sy.lambda_ or len(sy.dims) != k:
         return EquivalenceVerdict(False, None)
-    k = len(sx.dims)
-    identity = tuple(range(k))
-    if _aligns(sx, sy, identity):
-        return EquivalenceVerdict(True, identity)
-    if not search:
-        return EquivalenceVerdict(False, None)
-    found = find_alignment(sx.delta, tuple(sx.dims), sy.delta, tuple(sy.dims))
-    return EquivalenceVerdict(found is not None, found)
-
-
-# --------------------------------------------------------------------------
-# named identities
-# --------------------------------------------------------------------------
-
-
-def _expect_arity(name: str, args: Sequence[TypeExpr], n: int) -> None:
-    if len(args) != n:
-        raise ValueError(f"identity {name!r} takes {n} argument(s), got {len(args)}")
-
-
-def check_identity(name: str, args: Sequence[TypeExpr]) -> bool:
-    """Verify one of the named structural identities on concrete types.
-
-    Supported names:
-
-    - ``involution``        bar(bar(x)) ≡ x
-    - ``uncurry``           x→(y→z) ≡ (x⊗y)→z
-    - ``tensor_comm``       x⊗y ≡ y⊗x
-    - ``tensor_assoc``      (x⊗y)⊗z ≡ x⊗(y⊗z)
-    - ``tensor_elem``       A⊗B ≡ AB for elementary layers A, B
-    - ``functional_dual``   λ_x̄ = 1/(λ_x·d_x) and Δ_x̄ is the complement of Δ_x
-
-    Unknown names and wrong arities raise ``ValueError``.
-    """
-    args = list(args)
-    if name == "involution":
-        _expect_arity(name, args, 1)
-        (x,) = args
-        return check_equiv(bar(bar(x)), x).equivalent
-    if name == "uncurry":
-        _expect_arity(name, args, 3)
-        x, y, z = args
-        return check_equiv(
-            Arrow(x, Arrow(y, z)), Arrow(tensor(x, y), z)
-        ).equivalent
-    if name == "tensor_comm":
-        _expect_arity(name, args, 2)
-        x, y = args
-        return check_equiv(tensor(x, y), tensor(y, x)).equivalent
-    if name == "tensor_assoc":
-        _expect_arity(name, args, 3)
-        x, y, z = args
-        return check_equiv(
-            tensor(tensor(x, y), z), tensor(x, tensor(y, z))
-        ).equivalent
-    if name == "tensor_elem":
-        _expect_arity(name, args, 2)
-        a, b = args
-        if not isinstance(a, Elementary) or not isinstance(b, Elementary):
-            raise ValueError("tensor_elem needs two elementary layers")
-        return check_equiv(tensor(a, b), Elementary(a.atoms + b.atoms)).equivalent
-    if name == "functional_dual":
-        _expect_arity(name, args, 1)
-        (x,) = args
-        sx = upsilon(x)
-        sb = upsilon(bar(x))
-        if sb.lambda_ != 1 / (sx.lambda_ * total_dim(x)):
-            return False
-        return sb.delta == complement_in_T(sx.delta) and sb.dims == sx.dims
-    raise ValueError(f"unknown identity {name!r}")
+    if perm is not None:
+        ok = sy.dims == tuple(sx.dims[p] for p in perm) and (
+            permute(sx.delta, perm) == sy.delta
+        )
+    elif not search:
+        perm = tuple(range(k))
+        ok = sx.dims == sy.dims and sx.delta == sy.delta
+    else:
+        perm = find_alignment(sx.delta, sx.dims, sy.delta, sy.dims)
+        ok = perm is not None
+    return EquivalenceVerdict(ok, perm if ok else None)

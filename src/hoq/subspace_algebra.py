@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
 from typing import Iterable, Iterator, Sequence
 
 from hoq.type_ast import Arrow, Elementary, TypeExpr, factor_dims
@@ -85,27 +84,6 @@ class StringSet:
         return item in self.strings
 
 
-@dataclass(frozen=True)
-class FactorProfile:
-    """Ordered factor dimensions accompanying an index set."""
-
-    dims: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(d < 1 for d in self.dims):
-            raise ValueError(f"dimensions must be >= 1: {self.dims}")
-
-    def __len__(self) -> int:
-        return len(self.dims)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.dims)
-
-    @property
-    def total_dim(self) -> int:
-        return prod(self.dims)
-
-
 def _everything(length: int) -> frozenset[int]:
     """The strings of W at the given length, refused beyond
     MAX_EXPLICIT_FACTORS positions: there they are a memory hazard, not an
@@ -166,16 +144,6 @@ def concat(a: StringSet, b: StringSet) -> StringSet:
     )
 
 
-def concat_power(J: StringSet, k: int) -> StringSet:
-    """k-fold concatenation of J with itself; k = 0 gives {ε}."""
-    if k < 0:
-        raise ValueError("negative power")
-    out = StringSet(0, frozenset({0}))
-    for _ in range(k):
-        out = concat(out, J)
-    return out
-
-
 def permute(J: StringSet, perm: Sequence[int]) -> StringSet:
     """Reindex factors: output position i reads input position perm[i]."""
     if sorted(perm) != list(range(J.length)):
@@ -193,7 +161,7 @@ def permute(J: StringSet, perm: Sequence[int]) -> StringSet:
 
 def normal_form(
     J: StringSet, dims: Sequence[int]
-) -> tuple[StringSet, FactorProfile]:
+) -> tuple[StringSet, tuple[int, ...]]:
     """Drop trivial (d = 1) positions.
 
     Strings that are traceless on a one-dimensional factor index a
@@ -206,7 +174,7 @@ def normal_form(
         raise ValueError(f"{len(dims)} dims for strings of length {J.length}")
     keep = [i for i, d in enumerate(dims) if d > 1]
     if len(keep) == len(dims):
-        return J, FactorProfile(dims)
+        return J, dims
     ell = J.length
     out = set()
     for s in J.strings:
@@ -222,10 +190,7 @@ def normal_form(
             bit = (s >> (ell - 1 - i)) & 1
             v |= bit << (len(keep) - 1 - j)
         out.add(v)
-    return (
-        StringSet(len(keep), frozenset(out)),
-        FactorProfile(tuple(d for d in dims if d > 1)),
-    )
+    return StringSet(len(keep), frozenset(out)), tuple(dims[i] for i in keep)
 
 
 def dim_of_delta(J: StringSet, dims: Sequence[int]) -> int:
@@ -270,21 +235,38 @@ def _delta(x: TypeExpr, full: bool) -> StringSet:
     raise TypeError(f"not a type expression: {x!r}")
 
 
+def _refuse_beyond_capacity(positions: int, what: str) -> None:
+    """Refuse a type before its index set is built: past
+    MAX_EXPLICIT_FACTORS positions the sets along the recursion no longer
+    fit in memory."""
+    if positions > MAX_EXPLICIT_FACTORS:
+        raise CapacityError(
+            f"the type has {positions} {what}; index sets "
+            f"are built explicitly up to {MAX_EXPLICIT_FACTORS}"
+        )
+
+
 def delta_of_type(x: TypeExpr) -> StringSet:
     """Index set of the fluctuation space of deterministic events of ``x``,
     over *all* atom positions (delta_normal_form: the same recursion without
     the trivial ones).  Elementary layer: every non-identity pattern, i.e. T
     over its atoms — except that an all-trivial group contributes the empty
     set, so the trivial type has an empty index set exactly.  Arrow x -> y:
-    W_x · D_y  ∪  (T_x \\ D_x) · (W_y \\ D_y)."""
+    W_x · D_y  ∪  (T_x \\ D_x) · (W_y \\ D_y).  More than
+    MAX_EXPLICIT_FACTORS atom positions raise CapacityError."""
+    _refuse_beyond_capacity(len(factor_dims(x)), "factor positions")
     return _delta(x, True)
 
 
-def delta_normal_form(x: TypeExpr) -> tuple[StringSet, FactorProfile]:
+def delta_normal_form(x: TypeExpr) -> tuple[StringSet, tuple[int, ...]]:
     """The recursion of delta_of_type over the non-trivial factors only (an
     all-trivial layer has length 0: W = {ε}, T = ∅), and their dims; equals
-    normal_form(delta_of_type(x), factor_dims(x)) without building the latter."""
-    return _delta(x, False), FactorProfile(tuple(d for d in factor_dims(x) if d > 1))
+    normal_form(delta_of_type(x), factor_dims(x)) without building the
+    latter.  More than MAX_EXPLICIT_FACTORS non-trivial positions raise
+    CapacityError."""
+    dims = tuple(d for d in factor_dims(x) if d > 1)
+    _refuse_beyond_capacity(len(dims), "non-trivial factor positions")
+    return _delta(x, False), dims
 
 
 # --------------------------------------------------------------------------
@@ -300,9 +282,10 @@ def to_json_obj(J: StringSet, dims: Sequence[int]) -> dict:
     return {"strings": J.as_bitstrings(), "dims": list(dims)}
 
 
-def from_json_obj(obj: dict) -> tuple[StringSet, FactorProfile]:
+def from_json_obj(obj: dict) -> tuple[StringSet, tuple[int, ...]]:
     if not isinstance(obj, dict) or "strings" not in obj or "dims" not in obj:
         raise ValueError("expected an object with 'strings' and 'dims'")
     dims = tuple(int(d) for d in obj["dims"])
-    sset = StringSet.from_bitstrings(len(dims), obj["strings"])
-    return sset, FactorProfile(dims)
+    if any(d < 1 for d in dims):
+        raise ValueError(f"dimensions must be >= 1: {dims}")
+    return StringSet.from_bitstrings(len(dims), obj["strings"]), dims

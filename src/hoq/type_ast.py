@@ -33,16 +33,11 @@ __all__ = [
     "Elementary",
     "Arrow",
     "TypeExpr",
-    "Star",
-    "Trivial",
-    "StructureArrow",
-    "TypeStructure",
     "ParseError",
     "TRIVIAL_LABEL",
     "MAX_NESTING",
     "parse_type",
     "print_canonical",
-    "print_structure",
     "factor_dims",
     "atoms_in_order",
     "total_dim",
@@ -51,9 +46,6 @@ __all__ = [
     "bar",
     "tensor",
     "make_comb",
-    "precedes",
-    "natural_structure",
-    "belongs_to",
     "k_exponents",
 ]
 
@@ -309,22 +301,6 @@ def type_depth(x: TypeExpr) -> int:
     return 1 + max(type_depth(x.tail), type_depth(x.head))
 
 
-def precedes(x: TypeExpr, y: TypeExpr) -> bool:
-    """Strict subterm order: transitive closure of "is the tail or head of".
-
-    ``precedes(y, Arrow(y, z))`` is true; no type precedes an elementary
-    layer; the order is irreflexive.
-    """
-    if isinstance(y, Arrow):
-        return (
-            x == y.tail
-            or x == y.head
-            or precedes(x, y.tail)
-            or precedes(x, y.head)
-        )
-    return False
-
-
 # --------------------------------------------------------------------------
 # constructors derived from the base language
 # --------------------------------------------------------------------------
@@ -364,84 +340,6 @@ def make_comb(bases: Sequence[TypeExpr]) -> TypeExpr:
     for tooth in bases[1:]:
         expr = Arrow(expr, tooth)
     return expr
-
-
-# --------------------------------------------------------------------------
-# type structures (dimension-agnostic skeletons)
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Star:
-    """A non-trivial elementary slot in a type structure."""
-
-    def __str__(self) -> str:
-        return "*"
-
-
-@dataclass(frozen=True)
-class Trivial:
-    """A trivial (dimension-one) slot in a type structure."""
-
-    def __str__(self) -> str:
-        return TRIVIAL_LABEL
-
-
-@dataclass(frozen=True)
-class StructureArrow:
-    """Arrow node of a type structure."""
-
-    tail: "TypeStructure"
-    head: "TypeStructure"
-
-    def __str__(self) -> str:
-        return print_structure(self)
-
-
-TypeStructure = Union[Star, Trivial, StructureArrow]
-
-
-def print_structure(s: TypeStructure) -> str:
-    """Canonical rendering of a structure, mirroring :func:`print_canonical`."""
-    if isinstance(s, (Star, Trivial)):
-        return str(s)
-    if isinstance(s, StructureArrow):
-        def wrap(sub: TypeStructure) -> str:
-            rendered = print_structure(sub)
-            return f"({rendered})" if isinstance(sub, StructureArrow) else rendered
-
-        return f"{wrap(s.tail)}->{wrap(s.head)}"
-    raise TypeError(f"not a type structure: {s!r}")
-
-
-def natural_structure(x: TypeExpr) -> TypeStructure:
-    """Forget dimensions: each non-trivial atom group becomes ``*``.
-
-    A group consisting entirely of trivial atoms stays ``I``; arrows are kept.
-    Example: ``(A->I)->((C->D)->(F->I))`` maps to ``(*->I)->((*->*)->(*->I))``.
-    """
-    if isinstance(x, Elementary):
-        if any(a.dim > 1 for a in x.atoms):
-            return Star()
-        return Trivial()
-    return StructureArrow(natural_structure(x.tail), natural_structure(x.head))
-
-
-def belongs_to(x: TypeExpr, s: TypeStructure) -> bool:
-    """Does ``x`` instantiate the structure ``s``?
-
-    Substitution check: stars accept any group with a non-trivial atom,
-    trivial slots accept all-trivial groups, arrows must match arrows.
-    """
-    if isinstance(s, Star):
-        return isinstance(x, Elementary) and any(a.dim > 1 for a in x.atoms)
-    if isinstance(s, Trivial):
-        return isinstance(x, Elementary) and all(a.dim == 1 for a in x.atoms)
-    return (
-        isinstance(x, Arrow)
-        and belongs_to(x.tail, s.tail)
-        and belongs_to(x.head, s.head)
-    )
 
 
 def k_exponents(x: TypeExpr) -> tuple[int, ...]:

@@ -492,7 +492,7 @@ def test_dual_events_lie_in_the_dual_hull(text):
         step.dual
         # below and above the trace bound lambda d, where states are refused
         for trace in (0.9 * lam * side, 1.1 * lam * side)
-        for step in _dykstra(trace * m, lam, delta, nf_dims.dims, 64, margin=0.0)
+        for step in _dykstra(trace * m, lam, delta, nf_dims, 64, margin=0.0)
         if step.dual is not None
     ]
     assert duals

@@ -493,14 +493,29 @@ def _limit_address_space():
 
 def test_comb_delta_refuses_too_many_factors_early():
     # 26 factor positions: built block by block, the index set would exhaust
-    # memory, so the child runs under a 1 GiB address-space limit
-    proc = python_with_src(
-        ["-m", "hoq.cli", "comb", "delta", "--base", "A:2->B:2", "--n", "13"],
-        timeout=10,
-        preexec_fn=_limit_address_space,
-    )
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert "26 factor positions" in proc.stderr
+    # memory, so each child runs under a 1 GiB address-space limit
+    comb = "A:2->B:2"
+    for _ in range(12):
+        comb = f"({comb})->(A:2->B:2)"
+    for argv, message in [
+        (["comb", "delta", "--base", "A:2->B:2", "--n", "13"], "26 factor positions"),
+        (["sem", comb], "26 non-trivial factor positions"),
+        (["equiv", comb, comb], "26 non-trivial factor positions"),
+    ]:
+        proc = python_with_src(
+            ["-m", "hoq.cli", *argv], timeout=10, preexec_fn=_limit_address_space
+        )
+        assert proc.returncode == 2 and proc.stdout == "", argv
+        assert message in proc.stderr, argv
+
+
+def test_comb_teeth_are_bounded_by_the_nesting_limit(invoke):
+    code, out, err = invoke("comb", "lambda", "--base", "A:2->B:2", "--n", "500")
+    assert code == 2 and out == "" and "at most 100 teeth" in err
+    n = str(type_ast.MAX_NESTING)
+    code, out, err = invoke("comb", "lambda", "--base", "A:2->B:2", "--n", n)
+    assert code == 0 and err == ""
+    validated(out, "comb", "lambda")
 
 
 _WITHOUT_NUMPY = """

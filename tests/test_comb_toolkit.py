@@ -1,10 +1,14 @@
 """Comb closed forms, two-sided layout, normalization, and composition."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import oracles
+from comb_routes import comb_arrow_delta, comb_tensor_delta
 from hoq.choi_numeric import (
     HermOp,
     check_deterministic,
@@ -15,16 +19,14 @@ from hoq.choi_numeric import (
 from hoq.comb_toolkit import (
     CombSpec,
     check_comb_normalization,
-    comb_arrow_delta,
     comb_delta_closed,
     comb_equiv_permutation,
     comb_lambda_closed,
-    comb_tensor_delta,
     expand_slot_perm,
     random_comb_choi,
 )
 from hoq.semantics import check_equiv, lambda_recursive
-from hoq.subspace_algebra import delta_of_type, normal_form
+from hoq.subspace_algebra import StringSet, delta_of_type, normal_form
 from hoq.type_ast import (
     Arrow,
     factor_dims,
@@ -63,13 +65,31 @@ def test_comb_spec_validation():
     assert spec.derived == make_comb([base, base, base])
 
 
-def test_mixed_structure_bases_are_refused():
-    spec = CombSpec(2, (parse_type("A:2"), parse_type("A:2->B:2")))
-    with pytest.raises(ValueError):
-        comb_delta_closed(spec)
-
-
 # -- closed forms vs the recursion ------------------------------------------
+
+MIXED_TEETH = ["I", "A:2*B:3", "A:2->I", "(A:2->B:2)->C:2", "A:3->(B:2->C:2)"]
+
+
+def test_closed_forms_on_mixed_teeth():
+    # every sequence of up to three teeth, and seeded draws of four and five
+    teeth = [parse_type(t) for t in MIXED_TEETH]
+    rng = random.Random(6)
+    combs = [c for n in (1, 2, 3) for c in itertools.product(teeth, repeat=n)]
+    combs += [tuple(rng.choices(teeth, k=n)) for n in (4, 5) for _ in range(40)]
+    for bases in combs:
+        spec = CombSpec(len(bases), bases)
+        assert comb_delta_closed(spec) == delta_of_type(spec.derived), bases
+        assert comb_lambda_closed(spec) == lambda_recursive(spec.derived), bases
+    # pinned against the oracle: an effect, the trivial system and a qubit
+    # as teeth, ((A:2->I)->I)->B:2
+    spec = CombSpec(3, tuple(parse_type(t) for t in ["A:2->I", "I", "B:2"]))
+    x = spec.derived
+    dims = factor_dims(x)
+    ref = oracles.oracle_semantics(x)
+    assert float(comb_lambda_closed(spec)) == pytest.approx(ref["lambda"], abs=1e-9)
+    assert normal_form(comb_delta_closed(spec), dims) == normal_form(
+        StringSet.from_bitstrings(len(dims), ref["delta"]), dims
+    )
 
 
 @pytest.mark.parametrize("kind", sorted(BASES))

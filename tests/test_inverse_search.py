@@ -211,21 +211,6 @@ def test_spec_validation():
         SearchSpec(dims=(2,), target="0", max_depth=2)
 
 
-def test_spec_json_round_trip():
-    spec = spec_for(
-        (2, 3),
-        ["00", "01"],
-        max_depth=3,
-        max_trivial_leaves=1,
-        allow_permutations=True,
-        target_lambda=Fraction(1, 6),
-    )
-    again = SearchSpec.from_json_obj(spec.to_json_obj())
-    assert again == spec
-    plain = spec_for((2,), ["0"], max_depth=2)
-    assert SearchSpec.from_json_obj(plain.to_json_obj()) == plain
-
-
 def test_result_json_shape():
     res = inverse_search(spec_for((2,), ["0"], max_depth=2))
     obj = res.to_json_obj()

@@ -12,7 +12,6 @@ from hoq.semantics import (
     ALIGNMENT_CAP,
     AlignmentCapExceeded,
     check_equiv,
-    check_identity,
     delta_dimension,
     find_alignment,
     lambda_recursive,
@@ -20,13 +19,15 @@ from hoq.semantics import (
 )
 from hoq.subspace_algebra import (
     StringSet,
+    complement_in_T,
     delta_of_type,
     dim_of_delta,
     normal_form,
-    permute,
 )
 from hoq.type_ast import (
+    Arrow,
     Atom,
+    Elementary,
     bar,
     factor_dims,
     k_exponents,
@@ -216,6 +217,32 @@ def test_alignment_cap():
         )
 
 
+def _functional_dual_holds(x) -> bool:
+    # lambda of the dual is 1 / (lambda_x d_x); its index set is the
+    # complement of Delta_x in T over the same non-trivial factors
+    sx, sb = upsilon(x), upsilon(bar(x))
+    return (
+        sb.lambda_ == 1 / (sx.lambda_ * total_dim(x))
+        and sb.delta == complement_in_T(sx.delta)
+        and sb.dims == sx.dims
+    )
+
+
+LAWS = {
+    "involution": lambda x: check_equiv(bar(bar(x)), x).equivalent,
+    "uncurry": lambda x, y, z: check_equiv(
+        Arrow(x, Arrow(y, z)), Arrow(tensor(x, y), z)
+    ).equivalent,
+    "tensor_comm": lambda x, y: check_equiv(
+        tensor(x, y), tensor(y, x)
+    ).equivalent,
+    "tensor_assoc": lambda x, y, z: check_equiv(
+        tensor(tensor(x, y), z), tensor(x, tensor(y, z))
+    ).equivalent,
+    "functional_dual": _functional_dual_holds,
+}
+
+
 @pytest.mark.parametrize(
     "name,arity",
     [
@@ -229,22 +256,16 @@ def test_alignment_cap():
 def test_identities_on_random_types(rng, name, arity):
     for _ in range(40):
         args = [random_type(rng, 2, dims=(1, 2, 3)) for _ in range(arity)]
-        assert check_identity(name, args), (name, args)
+        assert LAWS[name](*args), (name, args)
 
 
 def test_tensor_elem_identity():
+    # the tensor of two elementary layers is their composite layer
     a = parse_type("A:2")
     b = parse_type("B:3")
-    assert check_identity("tensor_elem", [a, b])
-    v = check_equiv(tensor(a, b), parse_type("A:2*B:3"))
-    assert v.equivalent
-
-
-def test_identity_errors():
-    with pytest.raises(ValueError):
-        check_identity("involution", [])
-    with pytest.raises(ValueError):
-        check_identity("no_such_identity", [parse_type("A")])
+    v = check_equiv(tensor(a, b), Elementary(a.atoms + b.atoms))
+    assert v.equivalent and v.permutation == (0, 1)
+    assert check_equiv(tensor(a, b), parse_type("A:2*B:3")).equivalent
 
 
 @given(type_strategy(max_leaves=4))
@@ -254,7 +275,7 @@ def test_functional_dual_relation(x):
     xbar = bar(x)
     lam = lambda_recursive(x)
     assert lambda_recursive(xbar) == 1 / (lam * total_dim(x))
-    assert check_identity("functional_dual", [x])
+    assert _functional_dual_holds(x)
 
 
 @given(type_strategy(max_leaves=4))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from comb_routes import concat_power
 from generators import type_strategy
 from hoq.subspace_algebra import (
     MAX_FACTORS,
@@ -12,7 +13,6 @@ from hoq.subspace_algebra import (
     bits_to_int,
     complement_in_T,
     concat,
-    concat_power,
     delta_normal_form,
     delta_of_type,
     dim_of_delta,
@@ -262,6 +262,13 @@ def test_more_than_24_non_trivial_factors_are_refused():
         complement_in_T(StringSet(25, frozenset()))
     with pytest.raises(CapacityError):
         perp_in_W(StringSet(25, frozenset()))
+    # 25 trivial atoms: the recursion alone would return an empty set over
+    # 25 positions; the full-position entry refuses it, the normal form has
+    # no position at all
+    x = parse_type("*".join(["I"] * 25))
+    with pytest.raises(CapacityError, match="25 factor positions"):
+        delta_of_type(x)
+    assert delta_normal_form(x) == (StringSet(0, frozenset()), ())
 
 
 def test_json_round_trip():
@@ -272,3 +279,5 @@ def test_json_round_trip():
     assert back == J and tuple(dims) == (2, 3)
     with pytest.raises(ValueError):
         from_json_obj({"strings": ["00"]})
+    with pytest.raises(ValueError, match=">= 1"):
+        from_json_obj({"strings": ["0"], "dims": [0]})

@@ -8,22 +8,17 @@ from hypothesis import given
 from generators import nested_trivial, type_strategy
 from hoq import type_ast
 from hoq.type_ast import (
-    Arrow,
     Atom,
     Elementary,
     ParseError,
     atoms_in_order,
     bar,
-    belongs_to,
     extend_by,
     factor_dims,
     k_exponents,
     make_comb,
-    natural_structure,
     parse_type,
-    precedes,
     print_canonical,
-    print_structure,
     tensor,
     total_dim,
     type_depth,
@@ -121,15 +116,6 @@ def test_type_depth():
     assert type_depth(parse_type("A->(B->C)")) == 3
 
 
-def test_precedes_is_strict_subterm_order():
-    inner = parse_type("A->B")
-    outer = Arrow(inner, parse_type("C"))
-    assert precedes(inner, outer)
-    assert precedes(parse_type("A"), outer)
-    assert not precedes(outer, outer)
-    assert not precedes(outer, inner)
-
-
 def test_bar_and_tensor_shapes():
     a = parse_type("A")
     b = parse_type("B")
@@ -176,23 +162,6 @@ def test_k_exponents_counting_characterization(x):
     for end, k in zip(spans, ks):
         rest = text[end:]
         assert (rest.count("->") + rest.count("(") + 1) % 2 == k
-
-
-def test_structures():
-    x = parse_type("(A->I)->((C:3->D)->(F->I))")
-    s = natural_structure(x)
-    assert print_structure(s) == "(*->I)->((*->*)->(*->I))"
-    assert belongs_to(x, s)
-    y = parse_type("(B:5->I)->((A->B)->(C->I))")
-    assert belongs_to(y, s)
-    assert not belongs_to(parse_type("A->B"), s)
-    # a group with any non-trivial atom is a star slot
-    assert print_structure(natural_structure(parse_type("A*I"))) == "*"
-
-
-@given(type_strategy())
-def test_every_type_belongs_to_its_own_structure(x):
-    assert belongs_to(x, natural_structure(x))
 
 
 def test_nesting_bound_is_exact():
