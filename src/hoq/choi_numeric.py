@@ -26,9 +26,14 @@ component removed and mixed with I / (lambda_x d) until PSD, is the dual
 event. max_admissible_scale narrows an interval [lo, hi] with both and
 returns lo.
 
+Every operator enters once, through _hermitian: a raw matrix is checked for
+shape and finiteness, its residual ||M - M^dag||_F / max(1, ||M||_F) is
+measured, and only its Hermitian part goes on. A HermOp passed that gate
+within HERM_TOL when built and holds its Hermitian part, so it is trusted.
+
 Matrix file format (JSON): {"dims": [d1, .., dk], "matrix": [[[re, im], ..]]},
-row-major over the full product space; non-finite entries and sides above
-MAX_SIDE are refused.
+row-major over the full product space; dims must be positive integers, and
+non-finite entries and sides above MAX_SIDE are refused.
 """
 
 from __future__ import annotations
@@ -43,11 +48,11 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from hoq.semantics import lambda_recursive
-from hoq.subspace_algebra import StringSet, complement_in_T, delta_normal_form
+from hoq.subspace_algebra import StringSet, _json_dims, complement_in_T, delta_normal_form
 from hoq.tolerances import DEFAULT_FEAS_TOL, DEFAULT_MAX_ITER, DEFAULT_TOL
 from hoq.type_ast import TypeExpr, factor_dims
 
-HERM_TOL = 1e-10        # relative Frobenius bound enforced by HermOp
+HERM_TOL = 1e-10        # anti-Hermitian residual bound enforced by HermOp
 # Largest matrix side sampled or loaded: a complex side-2048 matrix takes
 # 64 MiB, and a check holds a few of them.
 MAX_SIDE = 2048
@@ -56,7 +61,6 @@ __all__ = [
     "HermOp",
     "MembershipReport",
     "FeasibilityReport",
-    "identity_op",
     "partial_trace",
     "reorder_factors",
     "apply_inverse_choi",
@@ -67,7 +71,6 @@ __all__ = [
     "max_admissible_scale",
     "random_channel_choi",
     "choi_from_kraus",
-    "random_density",
     "matrix_to_json_obj",
     "matrix_from_json_obj",
     "load_matrix",
@@ -88,9 +91,9 @@ def _fro(mat: np.ndarray) -> float:
 class HermOp:
     """A Hermitian operator over an ordered tuple of tensor factors.
 
-    Construction refuses non-finite entries and enforces ||M - M^dag||_F <=
-    HERM_TOL * ||M||_F; use raw ndarrays for operators that may legitimately
-    fail that gate (the checkers accept both).
+    Construction passes _hermitian, refuses a residual above HERM_TOL and
+    stores the exactly Hermitian part; use raw ndarrays for operators that
+    may legitimately fail that gate (the checkers accept both).
     """
 
     dims: tuple[int, ...]
@@ -100,11 +103,11 @@ class HermOp:
         dims = tuple(int(d) for d in self.dims)
         if any(d < 1 for d in dims):
             raise ValueError(f"bad factor dims {dims}")
-        mat = _coerce(self.matrix, dims)
-        if _fro(mat - mat.conj().T) > HERM_TOL * _fro(mat):
+        herm, residual = _hermitian(self.matrix, dims)
+        if residual > HERM_TOL:
             raise ValueError("matrix is not Hermitian within HERM_TOL")
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", herm)
 
     @property
     def side(self) -> int:
@@ -114,35 +117,32 @@ class HermOp:
 OperatorLike = Union[HermOp, np.ndarray]
 
 
-def _coerce(op: OperatorLike, dims: Sequence[int]) -> np.ndarray:
-    """Return the finite raw matrix, checking dims when a HermOp is supplied."""
-    dims = tuple(dims)
-    side = prod(dims) if dims else 1
+def _hermitian(op: OperatorLike, dims: tuple[int, ...]) -> tuple[np.ndarray, float]:
+    """(M + M^dag) / 2 and the residual ||M - M^dag||_F / max(1, ||M||_F)
+    of M = op over dims; a HermOp with matching dims is trusted (residual 0)."""
     if isinstance(op, HermOp):
         if op.dims != dims:
             raise ValueError(f"operator dims {op.dims} != expected {dims}")
-        return op.matrix
+        return op.matrix, 0.0
     mat = np.asarray(op, dtype=complex)
+    side = prod(dims)
     if mat.shape != (side, side):
         raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
     if not np.isfinite(mat).all():
         # NaN fails every comparison, so the tolerance gates would pass it
         raise ValueError("matrix has non-finite entries")
-    return mat
+    adjoint = mat.conj().T
+    residual = _fro(mat - adjoint) / max(1.0, _fro(mat))
+    return (mat + adjoint) / 2, residual
 
 
 def _checked_side(dims: Sequence[int]) -> int:
     """The matrix side over ``dims``, refused above MAX_SIDE before any
     matrix of that side is allocated."""
-    side = prod(dims) if dims else 1
+    side = prod(dims)
     if side > MAX_SIDE:
         raise ValueError(f"matrix side {side} exceeds the limit {MAX_SIDE}")
     return side
-
-
-def identity_op(dims: Sequence[int]) -> HermOp:
-    dims = tuple(dims)
-    return HermOp(dims, np.eye(prod(dims) if dims else 1, dtype=complex))
 
 
 # --------------------------------------------------------------------------
@@ -163,7 +163,7 @@ def partial_trace(O: HermOp, positions: Sequence[int]) -> HermOp:
     out = [i for i in keep] + [k + i for i in keep]
     reduced = np.einsum(t, row + col, out)
     new_dims = tuple(O.dims[i] for i in keep)
-    side = prod(new_dims) if new_dims else 1
+    side = prod(new_dims)
     return HermOp(new_dims, reduced.reshape(side, side))
 
 
@@ -176,7 +176,7 @@ def reorder_factors(O: HermOp, perm: Sequence[int]) -> HermOp:
     t = O.matrix.reshape(O.dims + O.dims)
     axes = perm + [k + p for p in perm]
     new_dims = tuple(O.dims[p] for p in perm)
-    side = prod(new_dims) if new_dims else 1
+    side = prod(new_dims)
     return HermOp(new_dims, np.transpose(t, axes).reshape(side, side))
 
 
@@ -191,9 +191,9 @@ def apply_inverse_choi(M: HermOp, O: HermOp) -> HermOp:
         raise ValueError(
             f"input dims {O.dims} do not prefix the Choi dims {M.dims}"
         )
-    d_in = prod(O.dims) if O.dims else 1
+    d_in = prod(O.dims)
     out_dims = M.dims[n_in:]
-    d_out = prod(out_dims) if out_dims else 1
+    d_out = prod(out_dims)
     m = M.matrix.reshape(d_in, d_out, d_in, d_out)
     # R[j, l] = sum_{i,m} O[m, i] M[(m, j), (i, l)]
     result = np.einsum("mi,mjil->jl", O.matrix, m)
@@ -276,18 +276,15 @@ def check_deterministic(
     and vanishing of the component outside the admissible blocks (relative
     Frobenius residual over T minus Delta_x at the non-trivial factors).
     """
-    dims = factor_dims(x)
-    mat = _coerce(R, dims)
-    norm = _fro(mat)
-    herm_residual = _fro(mat - mat.conj().T) / max(1.0, norm)
-    herm = (mat + mat.conj().T) / 2
-    min_eig = float(np.linalg.eigvalsh(herm)[0]) if herm.size else 0.0
+    herm, herm_residual = _hermitian(R, factor_dims(x))
+    eigs = np.linalg.eigvalsh(herm)
+    min_eig = float(eigs[0])
     side = herm.shape[0]
     lam_expected = lambda_recursive(x)
     lam_measured = float(np.trace(herm).real) / side
     delta, nf_dims = delta_normal_form(x)
     outside = _project_delta_matrix(herm, nf_dims, complement_in_T(delta))
-    residual = _fro(outside) / max(1.0, norm)
+    residual = _fro(outside) / max(1.0, _fro(eigs))  # ||eigs|| = ||herm||_F
     verdict = (
         herm_residual <= tol
         and min_eig >= -tol
@@ -409,8 +406,9 @@ def check_admissible(
     """Can M be dominated by a deterministic event of type x?
 
     M is admissible iff M >= 0 and some R in the deterministic affine slice
-    satisfies R - M >= 0.  A non-PSD M (min eigenvalue < -tol) is rejected at
-    the precheck (final_distance inf); tol sets only this precheck, as a
+    satisfies R - M >= 0.  A raw M with residual above tol (see _hermitian)
+    or a non-PSD M (min eigenvalue < -tol) is rejected at the precheck (0
+    iterations, final_distance inf); tol sets only this precheck, as a
     witness must dominate M within DEFAULT_TOL * max(1, ||M||_op).  Every
     deterministic event E of the dual type x -> I is PSD with Tr[R E] = 1 on
     the slice, so Tr[M E] > 1 proves M inadmissible: the uniform one,
@@ -430,10 +428,9 @@ def check_admissible(
       Frobenius distance from the last affine iterate to {Z : Z >= M}.
     """
     dims = factor_dims(x)
-    mat = _coerce(M, dims)
-    herm = (mat + mat.conj().T) / 2
+    herm, herm_residual = _hermitian(M, dims)
     eigs = np.linalg.eigvalsh(herm)
-    if float(eigs[0]) < -tol:
+    if herm_residual > tol or float(eigs[0]) < -tol:
         return FeasibilityReport("no_certificate", None, 0, float("inf"))
     delta, nf_dims = delta_normal_form(x)
     lam = float(lambda_recursive(x))
@@ -505,12 +502,8 @@ def oracle_deterministic(
     """
     dims = factor_dims(x) + factor_dims(y)
     _checked_side(dims)
-    mat = _coerce(M, dims)
-    norm = _fro(mat)
-    if _fro(mat - mat.conj().T) > tol * max(1.0, norm):
-        return False
-    herm = (mat + mat.conj().T) / 2
-    if float(np.linalg.eigvalsh(herm)[0]) < -tol:
+    herm, herm_residual = _hermitian(M, dims)
+    if herm_residual > tol or float(np.linalg.eigvalsh(herm)[0]) < -tol:
         return False
     choi = HermOp(dims, herm)
     lam_x = float(lambda_recursive(x))
@@ -523,7 +516,7 @@ def oracle_deterministic(
         probes.append(sample_deterministic(x, seed=probe_seed, spread=spread))
     for probe in probes:
         image = apply_inverse_choi(choi, probe)
-        if not check_deterministic(image.matrix, y, tol=tol).verdict:
+        if not check_deterministic(image, y, tol=tol).verdict:
             return False
     return True
 
@@ -533,26 +526,25 @@ def max_admissible_scale(
 ) -> float:
     """Largest mu such that mu * M is admissible for type x, from below.
 
-    M must be PSD (ValueError otherwise) and nonzero.  The answer is kept in
-    an interval [lo, hi] that starts at [lambda_x / ||M||_op, lambda_x d /
-    Tr M]: mu M <= lambda_x I proves the lower end, and the uniform dual
-    event I / (lambda_x d) of x -> I the upper one.  Probes run Dykstra on
-    mu M, first at the upper end, then at midpoints.  A check whose affine
-    iterate R falls short of mu M by s (min eig(R - mu M) = -s) raises lo to
-    mu lambda_x / (lambda_x + s), witnessed by a mixture of R and
-    lambda_x I; a dual event E of x -> I lowers hi to 1 / Tr[M E].  A probe
-    ends once lo reaches mu (1 - tol) or hi drops below mu.  The search
-    stops when hi - lo <= tol * max(1, lo), when a probe moves neither end
-    (probes are deterministic, so the next would repeat it), or when a probe
-    runs _PROBE_MAX_ITER iterations without ending, and returns lo: the
-    result never exceeds the true scale beyond rounding.
+    M must be Hermitian (residual within tol, see _hermitian), PSD and
+    nonzero; ValueError otherwise.  The answer is kept in an interval [lo,
+    hi] that starts at [lambda_x / ||M||_op, lambda_x d / Tr M]: mu M <=
+    lambda_x I proves the lower end, and the uniform dual event I /
+    (lambda_x d) of x -> I the upper one.  Probes run Dykstra on mu M, first
+    at the upper end, then at midpoints.  A check whose affine iterate R
+    falls short of mu M by s (min eig(R - mu M) = -s) raises lo to mu
+    lambda_x / (lambda_x + s), witnessed by a mixture of R and lambda_x I; a
+    dual event E of x -> I lowers hi to 1 / Tr[M E].  A probe ends once lo
+    reaches mu (1 - tol) or hi drops below mu.  The search stops when hi -
+    lo <= tol * max(1, lo), when a probe moves neither end (probes are
+    deterministic, so the next would repeat it), or when a probe runs
+    _PROBE_MAX_ITER iterations without ending, and returns lo: the result
+    never exceeds the true scale beyond rounding.
     """
-    dims = factor_dims(x)
-    mat = _coerce(M, dims)
-    herm = (mat + mat.conj().T) / 2
+    herm, herm_residual = _hermitian(M, factor_dims(x))
     eigs = np.linalg.eigvalsh(herm)
-    if float(eigs[0]) < -tol * max(1.0, _fro(herm)):
-        raise ValueError("max_admissible_scale needs a PSD operator")
+    if herm_residual > tol or float(eigs[0]) < -tol * max(1.0, _fro(eigs)):
+        raise ValueError("max_admissible_scale needs a Hermitian PSD operator")
     trace = float(np.trace(herm).real)
     if trace <= tol:
         raise ValueError("max_admissible_scale needs a nonzero operator")
@@ -614,12 +606,6 @@ def random_channel_choi(
     return choi_from_kraus(g @ inv_sqrt)
 
 
-def random_density(d: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
 # --------------------------------------------------------------------------
 # matrix files
 # --------------------------------------------------------------------------
@@ -637,9 +623,9 @@ def matrix_to_json_obj(O: HermOp) -> dict:
 def matrix_from_json_obj(obj: dict) -> HermOp:
     if not isinstance(obj, dict) or "dims" not in obj or "matrix" not in obj:
         raise ValueError("expected an object with 'dims' and 'matrix'")
-    dims = tuple(int(d) for d in obj["dims"])
+    dims = _json_dims(obj["dims"])
     rows = obj["matrix"]
-    side = prod(dims) if dims else 1
+    side = prod(dims)
     # the shape is checked against the rows, and the side against MAX_SIDE,
     # before anything is allocated
     if len(rows) != side:

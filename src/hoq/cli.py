@@ -25,7 +25,7 @@ import math
 import sys
 from fractions import Fraction
 from importlib import resources
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from hoq.comb_toolkit import (
     CombSpec,
@@ -48,9 +48,6 @@ from hoq.type_ast import (
     total_dim,
     type_depth,
 )
-
-if TYPE_CHECKING:
-    from hoq.choi_numeric import HermOp
 
 __all__ = ["run", "main", "schema_name"]
 
@@ -215,24 +212,11 @@ def _cmd_equiv(args: argparse.Namespace) -> tuple[dict, int]:
     return payload, 0 if verdict.equivalent else 1
 
 
-def _load_matrix_with_dims(path: str, dims: tuple[int, ...], what: str) -> HermOp:
-    """Load a matrix file whose factor dims must equal `dims` (named `what`)."""
-    from hoq.choi_numeric import load_matrix
-
-    op = load_matrix(path)
-    if op.dims != dims:
-        raise ValueError(
-            f"matrix dims {list(op.dims)} do not match {what} {list(dims)}"
-        )
-    return op
-
-
 def _cmd_check_det(args: argparse.Namespace) -> tuple[dict, int]:
-    from hoq.choi_numeric import check_deterministic
+    from hoq.choi_numeric import check_deterministic, load_matrix
 
     x = parse_type(args.type)
-    op = _load_matrix_with_dims(args.matrix, factor_dims(x), "the type's factors")
-    report = check_deterministic(op.matrix, x, tol=args.tol)
+    report = check_deterministic(load_matrix(args.matrix), x, tol=args.tol)
     payload = {
         "verdict": report.verdict,
         "lambda_measured": report.lambda_measured,
@@ -246,11 +230,11 @@ def _cmd_check_det(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_check_adm(args: argparse.Namespace) -> tuple[dict, int]:
-    from hoq.choi_numeric import check_admissible, matrix_to_json_obj
+    from hoq.choi_numeric import check_admissible, load_matrix, matrix_to_json_obj
 
     x = parse_type(args.type)
-    op = _load_matrix_with_dims(args.matrix, factor_dims(x), "the type's factors")
-    report = check_admissible(op.matrix, x, tol=args.tol, max_iter=args.max_iter)
+    op = load_matrix(args.matrix)
+    report = check_admissible(op, x, tol=args.tol, max_iter=args.max_iter)
     payload = {
         "feasible": report.feasible,
         "iterations": report.iterations,
@@ -274,15 +258,12 @@ def _cmd_sample_det(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_oracle_det(args: argparse.Namespace) -> tuple[dict, int]:
-    from hoq.choi_numeric import oracle_deterministic
+    from hoq.choi_numeric import load_matrix, oracle_deterministic
 
     x = parse_type(args.type)
     y = parse_type(args.cotype)
-    op = _load_matrix_with_dims(
-        args.matrix, factor_dims(x) + factor_dims(y), "tail+head factors"
-    )
     ok = oracle_deterministic(
-        op.matrix, x, y, samples=args.samples, seed=args.seed
+        load_matrix(args.matrix), x, y, samples=args.samples, seed=args.seed
     )
     return {"verdict": ok, "samples": args.samples, "seed": args.seed}, (
         0 if ok else 1

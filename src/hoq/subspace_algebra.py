@@ -274,18 +274,15 @@ def delta_normal_form(x: TypeExpr) -> tuple[StringSet, tuple[int, ...]]:
 # --------------------------------------------------------------------------
 
 
-def to_json_obj(J: StringSet, dims: Sequence[int]) -> dict:
-    """JSON form: sorted bitstrings plus the sibling dims list."""
-    dims = tuple(dims)
-    if len(dims) != J.length:
-        raise ValueError(f"{len(dims)} dims for strings of length {J.length}")
-    return {"strings": J.as_bitstrings(), "dims": list(dims)}
+def _json_dims(value: object) -> tuple[int, ...]:
+    """Dims from an index-set or matrix file: JSON integers >= 1 only."""
+    if not isinstance(value, list) or any(type(d) is not int or d < 1 for d in value):
+        raise ValueError(f"dims must be a list of integers >= 1, got {value!r}")
+    return tuple(value)
 
 
 def from_json_obj(obj: dict) -> tuple[StringSet, tuple[int, ...]]:
     if not isinstance(obj, dict) or "strings" not in obj or "dims" not in obj:
         raise ValueError("expected an object with 'strings' and 'dims'")
-    dims = tuple(int(d) for d in obj["dims"])
-    if any(d < 1 for d in dims):
-        raise ValueError(f"dimensions must be >= 1: {dims}")
+    dims = _json_dims(obj["dims"])
     return StringSet.from_bitstrings(len(dims), obj["strings"]), dims

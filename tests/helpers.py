@@ -1,0 +1,32 @@
+"""Small constructors that only the tests need: the identity operator, a
+random density matrix, and the JSON form of an index set (the package only
+reads index-set files)."""
+
+from __future__ import annotations
+
+from math import prod
+from typing import Sequence
+
+import numpy as np
+
+from hoq.choi_numeric import HermOp
+from hoq.subspace_algebra import StringSet
+
+
+def identity_op(dims: Sequence[int]) -> HermOp:
+    dims = tuple(dims)
+    return HermOp(dims, np.eye(prod(dims), dtype=complex))
+
+
+def random_density(d: int, rng: np.random.Generator) -> np.ndarray:
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def to_json_obj(J: StringSet, dims: Sequence[int]) -> dict:
+    """JSON form: sorted bitstrings plus the sibling dims list."""
+    dims = tuple(dims)
+    if len(dims) != J.length:
+        raise ValueError(f"{len(dims)} dims for strings of length {J.length}")
+    return {"strings": J.as_bitstrings(), "dims": list(dims)}

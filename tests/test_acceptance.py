@@ -12,6 +12,7 @@ from math import prod
 import numpy as np
 
 from generators import random_type
+from helpers import random_density
 from hoq.choi_numeric import (
     HermOp,
     check_admissible,
@@ -20,7 +21,6 @@ from hoq.choi_numeric import (
     max_admissible_scale,
     partial_trace,
     random_channel_choi,
-    random_density,
     reorder_factors,
     sample_deterministic,
 )

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from generators import type_strategy
+from helpers import identity_op, random_density
 from hoq import choi_numeric
 from hoq.choi_numeric import (
     DEFAULT_FEAS_TOL,
@@ -17,7 +18,6 @@ from hoq.choi_numeric import (
     check_admissible,
     check_deterministic,
     choi_from_kraus,
-    identity_op,
     load_matrix,
     matrix_from_json_obj,
     matrix_to_json_obj,
@@ -25,7 +25,6 @@ from hoq.choi_numeric import (
     oracle_deterministic,
     partial_trace,
     random_channel_choi,
-    random_density,
     reorder_factors,
     sample_deterministic,
     save_matrix,
@@ -83,6 +82,13 @@ def test_checkers_refuse_non_finite_ndarray(check, bad):
     m[1, 2] = bad
     with pytest.raises(ValueError, match="non-finite"):
         check(m, parse_type("A:2->B:2"))
+
+
+def test_hermop_stores_an_exactly_hermitian_matrix(nprng):
+    m = random_herm(nprng, 4)
+    m[0, 1] += 1e-12  # within HERM_TOL
+    op = HermOp((2, 2), m)
+    assert np.array_equal(op.matrix, op.matrix.conj().T)
 
 
 def test_hermop_scalar():
@@ -291,6 +297,22 @@ def test_admissible_precheck_non_psd():
     assert report.final_distance == float("inf")
 
 
+def skewed_channel():
+    """Half a sampled A:2->B:2 event with 0.05 added to one off-diagonal
+    entry: ||M - M^dag||_F is about 12% of ||M||_F."""
+    x = parse_type("A:2->B:2")
+    m = 0.5 * sample_deterministic(x, seed=3).matrix
+    m[0, 1] += 0.05
+    return m, x
+
+
+def test_admissible_precheck_non_hermitian():
+    report = check_admissible(*skewed_channel())
+    assert report.feasible == "no_certificate" and report.witness is None
+    assert report.iterations == 0
+    assert report.final_distance == float("inf")
+
+
 def test_max_admissible_scale_uniform():
     x = parse_type("A:2->B:2")
     lam = float(lambda_recursive(x))
@@ -312,6 +334,11 @@ def test_max_admissible_scale_guards():
         max_admissible_scale(-np.eye(2, dtype=complex), x)
     with pytest.raises(ValueError):
         max_admissible_scale(np.zeros((2, 2), dtype=complex), x)
+
+
+def test_max_admissible_scale_refuses_non_hermitian():
+    with pytest.raises(ValueError, match="Hermitian"):
+        max_admissible_scale(*skewed_channel())
 
 
 # -- sampling and the definitional oracle ----------------------------------

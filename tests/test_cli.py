@@ -1,6 +1,7 @@
 """End-to-end command line checks: payloads, schemas, exit codes, formats."""
 
 import json
+import math
 import os
 import resource
 import subprocess
@@ -339,6 +340,12 @@ def test_inverse_dims_mismatch(invoke, tmp_path):
     assert code == 2 and "error:" in err
 
 
+def test_index_set_file_dims_must_be_integers(invoke, tmp_path):
+    d = write_index_set(tmp_path / "t.json", (2.9, True), ["00"])
+    code, out, err = invoke("inverse", "--dims", "2,1", "--delta", d)
+    assert code == 2 and out == "" and "integers" in err
+
+
 # -- formats, usage, plumbing -----------------------------------------------------
 
 
@@ -394,15 +401,28 @@ def test_malformed_matrix_file(invoke, tmp_path):
     assert code == 2 and "error:" in err
 
 
-@pytest.mark.parametrize("command", ["check-det", "check-adm"])
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("command", ["check-det", "check-adm", "oracle-det"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.05])
 def test_non_finite_matrix_entry_is_refused(invoke, tmp_path, command, bad):
+    # a finite bad entry makes the matrix non-Hermitian, refused as well
     rows = [[[0.5 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
     rows[1][2] = [bad, 0.0]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"dims": [2, 2], "matrix": rows}))
-    code, out, err = invoke(command, "--type", "A:2->B:2", "--matrix", str(path))
-    assert code == 2 and out == "" and "non-finite" in err
+    types = ("--type", "A:2->B:2")
+    if command == "oracle-det":
+        types = ("--type", "A:2", "--cotype", "B:2")
+    code, out, err = invoke(command, *types, "--matrix", str(path))
+    reason = "not Hermitian" if math.isfinite(bad) else "non-finite"
+    assert code == 2 and out == "" and reason in err
+
+
+def test_matrix_file_dims_must_be_integers(invoke, tmp_path):
+    path = tmp_path / "m.json"
+    rows = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    path.write_text(json.dumps({"dims": [2.9, "2"], "matrix": rows}))
+    code, out, err = invoke("check-det", "--type", "A:2->B:2", "--matrix", str(path))
+    assert code == 2 and out == "" and "integers" in err
 
 
 def test_json_output_is_strict(invoke, monkeypatch):

@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 
 from comb_routes import concat_power
 from generators import type_strategy
+from helpers import to_json_obj
 from hoq.subspace_algebra import (
     MAX_FACTORS,
     CapacityError,
@@ -23,7 +24,6 @@ from hoq.subspace_algebra import (
     normal_form,
     permute,
     perp_in_W,
-    to_json_obj,
     union,
 )
 from hoq.type_ast import factor_dims, parse_type
