@@ -27,18 +27,20 @@ event. max_admissible_scale narrows an interval [lo, hi] with both and
 returns lo.
 
 Every operator enters once, through _hermitian: a raw matrix is checked for
-shape and finiteness, its residual ||M - M^dag||_F / max(1, ||M||_F) is
-measured, and only its Hermitian part goes on. A HermOp passed that gate
-within HERM_TOL when built and holds its Hermitian part, so it is trusted.
+shape and finiteness and passes as it is if it equals its adjoint entry for
+entry; otherwise its residual ||M - M^dag||_F / max(1, ||M||_F) is measured
+and only its Hermitian part goes on. A HermOp passed that gate within
+HERM_TOL when built and holds its own Hermitian copy, so it is trusted.
 
 Matrix file format (JSON): {"dims": [d1, .., dk], "matrix": [[[re, im], ..]]},
-row-major over the full product space; dims must be positive integers, and
-non-finite entries and sides above MAX_SIDE are refused.
+row-major over the full product space, dims JSON integers >= 1 and entries
+JSON numbers; non-finite entries and sides above MAX_SIDE are refused.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -74,7 +76,6 @@ __all__ = [
     "matrix_to_json_obj",
     "matrix_from_json_obj",
     "load_matrix",
-    "save_matrix",
     "HERM_TOL",
     "MAX_SIDE",
     "DEFAULT_TOL",
@@ -92,8 +93,8 @@ class HermOp:
     """A Hermitian operator over an ordered tuple of tensor factors.
 
     Construction passes _hermitian, refuses a residual above HERM_TOL and
-    stores the exactly Hermitian part; use raw ndarrays for operators that
-    may legitimately fail that gate (the checkers accept both).
+    stores its own exactly Hermitian copy; use raw ndarrays for operators
+    that may legitimately fail that gate (the checkers accept both).
     """
 
     dims: tuple[int, ...]
@@ -106,6 +107,8 @@ class HermOp:
         herm, residual = _hermitian(self.matrix, dims)
         if residual > HERM_TOL:
             raise ValueError("matrix is not Hermitian within HERM_TOL")
+        if np.may_share_memory(herm, self.matrix):
+            herm = herm.copy()
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", herm)
 
@@ -118,8 +121,9 @@ OperatorLike = Union[HermOp, np.ndarray]
 
 
 def _hermitian(op: OperatorLike, dims: tuple[int, ...]) -> tuple[np.ndarray, float]:
-    """(M + M^dag) / 2 and the residual ||M - M^dag||_F / max(1, ||M||_F)
-    of M = op over dims; a HermOp with matching dims is trusted (residual 0)."""
+    """The Hermitian part of M = op over dims and its residual ||M - M^dag||_F
+    / max(1, ||M||_F). M itself, with residual 0, when it equals its adjoint
+    entry for entry; a HermOp with matching dims is trusted likewise."""
     if isinstance(op, HermOp):
         if op.dims != dims:
             raise ValueError(f"operator dims {op.dims} != expected {dims}")
@@ -132,6 +136,8 @@ def _hermitian(op: OperatorLike, dims: tuple[int, ...]) -> tuple[np.ndarray, flo
         # NaN fails every comparison, so the tolerance gates would pass it
         raise ValueError("matrix has non-finite entries")
     adjoint = mat.conj().T
+    if (mat == adjoint).all():
+        return mat, 0.0
     residual = _fro(mat - adjoint) / max(1.0, _fro(mat))
     return (mat + adjoint) / 2, residual
 
@@ -427,6 +433,8 @@ def check_admissible(
     * "no_certificate" at max_iter otherwise; final_distance is then the
       Frobenius distance from the last affine iterate to {Z : Z >= M}.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     dims = factor_dims(x)
     herm, herm_residual = _hermitian(M, dims)
     eigs = np.linalg.eigvalsh(herm)
@@ -500,6 +508,8 @@ def oracle_deterministic(
     sampled deterministic inputs of type x (plus lambda_x I itself) to
     operators passing check_deterministic for y.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
     dims = factor_dims(x) + factor_dims(y)
     _checked_side(dims)
     herm, herm_residual = _hermitian(M, dims)
@@ -592,11 +602,9 @@ def choi_from_kraus(kraus: Sequence[np.ndarray]) -> HermOp:
     return HermOp((d_in, d_out), choi.reshape(side, side))
 
 
-def random_channel_choi(
-    d_in: int, d_out: int, rng: np.random.Generator, n_kraus: Optional[int] = None
-) -> HermOp:
-    """Choi matrix of a Haar-ish random channel (trace preserving by construction)."""
-    n = n_kraus if n_kraus is not None else d_in * d_out
+def random_channel_choi(d_in: int, d_out: int, rng: np.random.Generator) -> HermOp:
+    """Choi matrix of a Haar-ish random channel with d_in * d_out Kraus ops."""
+    n = d_in * d_out
     g = rng.standard_normal((n, d_out, d_in)) + 1j * rng.standard_normal(
         (n, d_out, d_in)
     )
@@ -620,6 +628,16 @@ def matrix_to_json_obj(O: HermOp) -> dict:
     }
 
 
+def _json_real(value: object) -> float:
+    """A JSON number (not a bool or a string) within the float range; HermOp
+    refuses the non-finite ones."""
+    if type(value) is float or (
+        type(value) is int and abs(value) <= sys.float_info.max
+    ):
+        return float(value)
+    raise ValueError(f"matrix entries must be finite numbers, got {value!r:.40}")
+
+
 def matrix_from_json_obj(obj: dict) -> HermOp:
     if not isinstance(obj, dict) or "dims" not in obj or "matrix" not in obj:
         raise ValueError("expected an object with 'dims' and 'matrix'")
@@ -635,16 +653,10 @@ def matrix_from_json_obj(obj: dict) -> HermOp:
     for i, row in enumerate(rows):
         if len(row) != side:
             raise ValueError(f"row {i} has {len(row)} entries, expected {side}")
-        entries.append([complex(float(re), float(im)) for re, im in row])
+        entries.append([complex(_json_real(re), _json_real(im)) for re, im in row])
     return HermOp(dims, np.array(entries, dtype=complex).reshape(side, side))
 
 
 def load_matrix(path: str) -> HermOp:
     with open(path, "r", encoding="utf-8") as fh:
         return matrix_from_json_obj(json.load(fh))
-
-
-def save_matrix(path: str, O: HermOp) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_json_obj(O), fh)
-        fh.write("\n")

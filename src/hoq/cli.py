@@ -217,15 +217,7 @@ def _cmd_check_det(args: argparse.Namespace) -> tuple[dict, int]:
 
     x = parse_type(args.type)
     report = check_deterministic(load_matrix(args.matrix), x, tol=args.tol)
-    payload = {
-        "verdict": report.verdict,
-        "lambda_measured": report.lambda_measured,
-        "lambda_expected": str(report.lambda_expected),
-        "min_eigenvalue": report.min_eigenvalue,
-        "residual_outside_delta": report.residual_outside_delta,
-        "herm_residual": report.herm_residual,
-        "tolerance": report.tolerance,
-    }
+    payload = {**vars(report), "lambda_expected": str(report.lambda_expected)}
     return payload, 0 if report.verdict else 1
 
 

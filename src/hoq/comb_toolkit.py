@@ -46,6 +46,10 @@ if TYPE_CHECKING:
 
     from hoq.choi_numeric import HermOp
 
+# Inner memory dimension and least Kraus rank of random_comb_choi's teeth.
+_MEMORY_DIM = 2
+_KRAUS_PER_TOOTH = 2
+
 __all__ = [
     "CombSpec",
     "comb_delta_closed",
@@ -227,39 +231,30 @@ def check_comb_normalization(
     """
     import numpy as np
 
-    from hoq.choi_numeric import HermOp, partial_trace
-
     ins, outs = _channel_slots(spec)
-    n = spec.n
     slot_dims = tuple(reversed(ins)) + tuple(outs)
     side = prod(slot_dims)
-    if R.matrix.shape[0] != side:
+    current = R.matrix
+    if current.shape[0] != side:
         raise ValueError(
-            f"operator side {R.matrix.shape[0]} does not match teeth {slot_dims}"
+            f"operator side {current.shape[0]} does not match teeth {slot_dims}"
         )
-    scale = max(1.0, float(np.linalg.norm(R.matrix)))
-    if float(np.linalg.eigvalsh(R.matrix)[0]) < -tol * scale:
+    scale = max(1.0, float(np.linalg.norm(current)))
+    if float(np.linalg.eigvalsh(current)[0]) < -tol * scale:
         return False
-    # fuse atom-level factors into slots (pure reshape; slots are contiguous)
-    current = HermOp(slot_dims, R.matrix)
-    for k in range(n, 0, -1):
-        traced = partial_trace(current, [len(current.dims) - 1])  # drop E_2k
-        a_k = traced.dims[-1]
-        reduced = partial_trace(traced, [len(traced.dims) - 1])  # drop E_2k-1
-        reduced = HermOp(reduced.dims, reduced.matrix / a_k)
-        model = np.kron(reduced.matrix, np.eye(a_k, dtype=complex))
-        if float(np.linalg.norm(traced.matrix - model)) > tol * scale:
+    for k in range(spec.n, 0, -1):
+        a_k, b_k = slot_dims[2 * k - 2], slot_dims[2 * k - 1]
+        side //= a_k * b_k
+        t = current.reshape(side, a_k, b_k, side, a_k, b_k)
+        traced = np.trace(t, axis1=2, axis2=5)  # drop E_2k
+        current = np.trace(traced, axis1=1, axis2=3) / a_k  # drop E_2k-1
+        model = np.kron(current, np.eye(a_k)).reshape(traced.shape)
+        if float(np.linalg.norm(traced - model)) > tol * scale:
             return False
-        current = reduced
-    return abs(float(current.matrix[0, 0].real) - 1.0) <= tol * scale
+    return abs(float(current[0, 0].real) - 1.0) <= tol * scale
 
 
-def random_comb_choi(
-    spec: CombSpec,
-    rng: np.random.Generator,
-    memory_dim: int = 2,
-    kraus_per_tooth: int = 2,
-) -> HermOp:
+def random_comb_choi(spec: CombSpec, rng: np.random.Generator) -> HermOp:
     """Choi of a random sequential network, in the two-sided wire layout.
 
     Writing the layout (A_n, .., A_1, B_1, .., B_n) as wires E_1 .. E_2n,
@@ -277,12 +272,12 @@ def random_comb_choi(
     ins, outs = _channel_slots(spec)
     wire_dims = tuple(reversed(ins)) + tuple(outs)
     n = spec.n
-    mems = [1] + [memory_dim] * (n - 1) + [1]
+    mems = [1] + [_MEMORY_DIM] * (n - 1) + [1]
     chain: Optional[np.ndarray] = None  # axes (kraus, wires.., memory)
     for k in range(n):
         d_in, d_out = wire_dims[2 * k], wire_dims[2 * k + 1]
         rows = d_in * mems[k]
-        s_k = max(kraus_per_tooth, -(-rows // (d_out * mems[k + 1])))
+        s_k = max(_KRAUS_PER_TOOTH, -(-rows // (d_out * mems[k + 1])))
         gauss = rng.normal(size=(d_out * mems[k + 1] * s_k, rows)) + 1j * (
             rng.normal(size=(d_out * mems[k + 1] * s_k, rows))
         )

@@ -285,4 +285,7 @@ def from_json_obj(obj: dict) -> tuple[StringSet, tuple[int, ...]]:
     if not isinstance(obj, dict) or "strings" not in obj or "dims" not in obj:
         raise ValueError("expected an object with 'strings' and 'dims'")
     dims = _json_dims(obj["dims"])
-    return StringSet.from_bitstrings(len(dims), obj["strings"]), dims
+    strings = obj["strings"]
+    if not isinstance(strings, list) or not all(isinstance(s, str) for s in strings):
+        raise ValueError(f"strings must be a list of bitstrings, got {strings!r}")
+    return StringSet.from_bitstrings(len(dims), strings), dims

@@ -39,7 +39,6 @@ __all__ = [
     "parse_type",
     "print_canonical",
     "factor_dims",
-    "atoms_in_order",
     "total_dim",
     "type_depth",
     "extend_by",
@@ -277,16 +276,12 @@ def print_canonical(x: TypeExpr) -> str:
 # --------------------------------------------------------------------------
 
 
-def atoms_in_order(x: TypeExpr) -> tuple[Atom, ...]:
-    """All atom occurrences in order: tails before heads, groups left to right."""
-    if isinstance(x, Elementary):
-        return x.atoms
-    return atoms_in_order(x.tail) + atoms_in_order(x.head)
-
-
 def factor_dims(x: TypeExpr) -> tuple[int, ...]:
-    """Dimension of every atom occurrence, in factor order (trivial ones included)."""
-    return tuple(a.dim for a in atoms_in_order(x))
+    """Dimension of every atom occurrence, in factor order: tails before
+    heads, groups left to right (trivial ones included)."""
+    if isinstance(x, Elementary):
+        return tuple(a.dim for a in x.atoms)
+    return factor_dims(x.tail) + factor_dims(x.head)
 
 
 def total_dim(x: TypeExpr) -> int:

@@ -1,15 +1,16 @@
 """Small constructors that only the tests need: the identity operator, a
-random density matrix, and the JSON form of an index set (the package only
-reads index-set files)."""
+random density matrix, and the JSON forms of an index set and of a matrix
+file (the package only reads both kinds of file)."""
 
 from __future__ import annotations
 
+import json
 from math import prod
 from typing import Sequence
 
 import numpy as np
 
-from hoq.choi_numeric import HermOp
+from hoq.choi_numeric import HermOp, matrix_to_json_obj
 from hoq.subspace_algebra import StringSet
 
 
@@ -30,3 +31,9 @@ def to_json_obj(J: StringSet, dims: Sequence[int]) -> dict:
     if len(dims) != J.length:
         raise ValueError(f"{len(dims)} dims for strings of length {J.length}")
     return {"strings": J.as_bitstrings(), "dims": list(dims)}
+
+
+def save_matrix(path: str, O: HermOp) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(matrix_to_json_obj(O), fh)
+        fh.write("\n")

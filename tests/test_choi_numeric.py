@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from generators import type_strategy
-from helpers import identity_op, random_density
+from helpers import identity_op, random_density, save_matrix
 from hoq import choi_numeric
 from hoq.choi_numeric import (
     DEFAULT_FEAS_TOL,
@@ -27,7 +27,6 @@ from hoq.choi_numeric import (
     random_channel_choi,
     reorder_factors,
     sample_deterministic,
-    save_matrix,
 )
 from hoq.semantics import lambda_recursive
 from hoq.subspace_algebra import (
@@ -89,6 +88,45 @@ def test_hermop_stores_an_exactly_hermitian_matrix(nprng):
     m[0, 1] += 1e-12  # within HERM_TOL
     op = HermOp((2, 2), m)
     assert np.array_equal(op.matrix, op.matrix.conj().T)
+
+
+def test_hermop_never_shares_the_callers_buffer(nprng):
+    m = random_herm(nprng, 4)  # exactly Hermitian: passes the gate as it is
+    for given in (m, m[:, :]):
+        op = HermOp((2, 2), given)
+        assert np.array_equal(op.matrix, m)
+        assert not np.shares_memory(op.matrix, m)
+    op = HermOp((2, 2), m)
+    m[0, 0] += 1.0
+    assert op.matrix[0, 0] == m[0, 0] - 1.0
+
+
+def _exactly_hermitian_inputs(nprng):
+    x = parse_type("(A:2->B:2)->C:2")
+    state = np.zeros((8, 8), dtype=complex)
+    state[0, 0] = 1.0
+    yield x, sample_deterministic(x, seed=2).matrix
+    yield x, state
+    rho = random_density(8, nprng)
+    yield x, 0.15 * (rho + rho.conj().T)  # exactly Hermitian by construction
+    yield parse_type("A:2->B:2"), 0.5 * np.eye(4, dtype=complex)
+
+
+def test_exactly_hermitian_raw_input_matches_its_hermop(nprng):
+    for x, m in _exactly_hermitian_inputs(nprng):
+        assert np.array_equal(m, m.conj().T)
+        op = HermOp(factor_dims(x), m)
+        raw_report = check_deterministic(m, x)
+        assert raw_report == check_deterministic(op, x)
+        assert raw_report.herm_residual == 0.0
+        raw, wrapped = check_admissible(m, x), check_admissible(op, x)
+        assert (raw.feasible, raw.iterations, raw.final_distance) == (
+            wrapped.feasible, wrapped.iterations, wrapped.final_distance
+        )
+        assert (raw.witness is None) == (wrapped.witness is None)
+        if raw.witness is not None:
+            assert np.array_equal(raw.witness.matrix, wrapped.witness.matrix)
+        assert max_admissible_scale(m, x) == max_admissible_scale(op, x)
 
 
 def test_hermop_scalar():

@@ -15,7 +15,8 @@ import pytest
 import hoq
 from generators import nested_trivial
 from hoq import cli, type_ast
-from hoq.choi_numeric import HermOp, save_matrix
+from helpers import save_matrix
+from hoq.choi_numeric import HermOp
 from hoq.cli import load_schema, run, schema_name
 
 
@@ -346,6 +347,31 @@ def test_index_set_file_dims_must_be_integers(invoke, tmp_path):
     assert code == 2 and out == "" and "integers" in err
 
 
+@pytest.mark.parametrize("strings", ["0", ["0", 1]])
+def test_index_set_file_strings_must_be_a_list_of_strings(invoke, tmp_path, strings):
+    d = write_index_set(tmp_path / "t.json", (2,), strings)
+    code, out, err = invoke("inverse", "--dims", "2", "--delta", d)
+    assert code == 2 and out == "" and "strings" in err
+
+
+@pytest.mark.parametrize("max_iter", ["0", "-5"])
+def test_check_adm_refuses_max_iter_below_one(invoke, tmp_path, max_iter):
+    m = write_matrix(tmp_path / "u.json", (2, 2), 0.5 * np.eye(4))
+    code, out, err = invoke(
+        "check-adm", "--type", "A:2->B:2", "--matrix", m, "--max-iter", max_iter
+    )
+    assert code == 2 and out == "" and "max_iter" in err
+
+
+def test_oracle_det_refuses_negative_samples(invoke, tmp_path):
+    m = write_matrix(tmp_path / "u.json", (2, 2), 0.5 * np.eye(4))
+    argv = ("oracle-det", "--type", "A:2", "--cotype", "B:2", "--matrix", m)
+    code, out, err = invoke(*argv, "--samples", "-3")
+    assert code == 2 and out == "" and "samples" in err
+    code, out, _ = invoke(*argv, "--samples", "0")
+    assert code == 0 and validated(out, "oracle-det")["samples"] == 0
+
+
 # -- formats, usage, plumbing -----------------------------------------------------
 
 
@@ -423,6 +449,20 @@ def test_matrix_file_dims_must_be_integers(invoke, tmp_path):
     path.write_text(json.dumps({"dims": [2.9, "2"], "matrix": rows}))
     code, out, err = invoke("check-det", "--type", "A:2->B:2", "--matrix", str(path))
     assert code == 2 and out == "" and "integers" in err
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [["0.25", 0.0], [0.25, False], [True, 0.0], [10**400, 0.0]],
+    ids=["string", "bool-im", "bool-re", "int-overflow"],
+)
+def test_matrix_file_entries_must_be_json_numbers(invoke, tmp_path, entry):
+    rows = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    rows[0][0] = entry
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"dims": [2, 2], "matrix": rows}))
+    code, out, err = invoke("check-det", "--type", "A:2->B:2", "--matrix", str(path))
+    assert code == 2 and out == "" and "error:" in err
 
 
 def test_json_output_is_strict(invoke, monkeypatch):

@@ -233,6 +233,42 @@ def test_normalization_guards(nprng):
     assert not check_comb_normalization(negative, spec)
 
 
+def test_normalization_builds_no_hermop(nprng, monkeypatch):
+    spec = uniform_spec("A:2->B:2", 4)
+    r = random_comb_choi(spec, nprng)
+    built = []
+    post_init = HermOp.__post_init__
+
+    def counted(self):
+        built.append(self.dims)
+        post_init(self)
+
+    monkeypatch.setattr(HermOp, "__post_init__", counted)
+    assert check_comb_normalization(r, spec, tol=1e-8)
+    assert built == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_normalization_verdicts_on_a_perturbed_network(nprng, n):
+    spec = uniform_spec("A:2->B:2", n)
+    r = random_comb_choi(spec, nprng)
+    assert check_comb_normalization(r, spec, tol=1e-8)
+    rest = np.eye(r.side // 2)
+    # the first tooth's input marginal is no longer proportional to I
+    p0 = np.diag([1.0, 0.0])
+    tilted = HermOp(r.dims, r.matrix + 1e-3 * np.kron(p0, rest))
+    assert not check_comb_normalization(tilted, spec, tol=1e-8)
+    # Z on the first and last wires leaves every partial trace as it is,
+    # so only the PSD test can refuse this
+    z = np.diag([1.0, -1.0])
+    zz = np.kron(np.kron(z, np.eye(r.side // 4)), z)
+    assert np.allclose(np.trace(zz.reshape(r.side // 2, 2, r.side // 2, 2),
+                                axis1=1, axis2=3), 0)
+    skewed = HermOp(r.dims, r.matrix + 2.0 * zz)
+    assert np.linalg.eigvalsh(skewed.matrix)[0] < -0.5
+    assert not check_comb_normalization(skewed, spec, tol=1e-8)
+
+
 def test_random_comb_choi_mixed_dims(nprng):
     teeth = tuple(parse_type(t) for t in ["A:2->B:3", "C:3->D:2"])
     spec = CombSpec(2, teeth)

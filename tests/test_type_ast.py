@@ -11,7 +11,6 @@ from hoq.type_ast import (
     Atom,
     Elementary,
     ParseError,
-    atoms_in_order,
     bar,
     extend_by,
     factor_dims,
@@ -102,6 +101,11 @@ def test_canonical_print_is_idempotent(x):
 
 
 def test_atom_order_is_in_order_traversal():
+    def atoms_in_order(x):
+        if isinstance(x, Elementary):
+            return x.atoms
+        return atoms_in_order(x.tail) + atoms_in_order(x.head)
+
     x = parse_type("(A->B)->(C:3*D->E)")
     assert [a.label for a in atoms_in_order(x)] == ["A", "B", "C", "D", "E"]
     assert factor_dims(x) == (2, 2, 3, 2, 2)
