@@ -385,19 +385,20 @@ def _dykstra(
     """Dykstra's alternating projections between the slice {lambda I +
     Delta} and the cone {Z : Z >= herm}.  Yields the _Bounds of the affine
     iterate at iterations 1, 2, 4, ... and at max_iter; no dual event is
-    built for a shortfall within margin."""
+    built for a shortfall within margin.
+
+    The affine step keeps no correction p = (1 - P_Delta)(y + p) - lambda I:
+    P_Delta(p) = 0, as P_Delta(I) = 0 (e is not in Delta)."""
     eye = np.eye(herm.shape[0], dtype=complex)
     y = herm
-    p = np.zeros_like(y)
     q = np.zeros_like(y)
     next_check = 1
     for iteration in range(1, max_iter + 1):
-        a = lam * eye + _project_delta_matrix(y + p, nf_dims, delta)
+        a = lam * eye + _project_delta_matrix(y, nf_dims, delta)
         if iteration in (next_check, max_iter):
             if iteration == next_check:
                 next_check *= 2
             yield _bounds(iteration, a, herm, margin, lam, delta, nf_dims)
-        p = y + p - a
         b = herm + _psd_clip(a + q - herm)
         q = a + q - b
         y = b

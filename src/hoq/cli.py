@@ -80,6 +80,16 @@ def load_schema(command: str, mode: Optional[str] = None) -> dict:
 
 def _positive_float(text: str) -> float:
     value = float(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
+def _positive_fraction(text: str) -> Fraction:
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator: {text}") from None
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
@@ -166,6 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--lambda",
         dest="lam",
+        type=_positive_fraction,
         help="require this exact identity coefficient (e.g. 1/2)",
     )
     return parser
@@ -318,7 +329,7 @@ def _cmd_inverse(args: argparse.Namespace) -> tuple[dict, int]:
         max_depth=args.max_depth,
         max_trivial_leaves=args.trivial_leaves,
         allow_permutations=args.perms,
-        target_lambda=None if args.lam is None else Fraction(args.lam),
+        target_lambda=args.lam,
     )
 
     def report_progress(examined: int, pruned: int) -> None:

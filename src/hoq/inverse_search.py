@@ -39,7 +39,7 @@ __all__ = [
 
 # Hard ceiling on how many candidate trees a single search may walk.  The
 # estimate below counts leaves as distinguishable, so it upper-bounds the
-# number of trees actually yielded after deduplication.
+# number of distinct trees actually yielded.
 ENUMERATION_CAP = 2_000_000
 
 # How often the optional progress callback fires (in examined candidates).
@@ -157,9 +157,8 @@ def _partition_count(n: int, blocks: int) -> int:
 def estimate_candidates(spec: SearchSpec) -> int:
     """Upper bound on the number of candidates enumerate_types walks.
 
-    Counts leaves as distinguishable; deduplication of identical trivial
-    leaves only shrinks the true stream, so this bound is safe for the cap
-    check.
+    Counts leaves as distinguishable; identical trivial leaves only shrink
+    the true stream, so this bound is safe for the cap check.
     """
     n = len(spec.dims)
     total = 0
@@ -186,51 +185,49 @@ def _set_partitions(items: Sequence[int]) -> Iterator[list[list[int]]]:
             yield grown
 
 
-def _trees_over(leaves: Sequence[TypeExpr], max_depth: int) -> Iterator[TypeExpr]:
-    """All arrow trees using every leaf exactly once, depth <= max_depth.
+def _trees_over(
+    blocks: Sequence[TypeExpr], max_trivial: int, max_depth: int
+) -> Iterator[TypeExpr]:
+    """Every arrow tree of depth <= max_depth that uses each block once and
+    0 to max_trivial trivial leaves I, each tree exactly once.
 
-    Leaves are addressed by bitmask position; sub-results are memoized per
-    (mask, depth budget) so shared subtrees are built once.
+    Trivial leaves are interchangeable, so a subtree is fixed by its block
+    bitmask and its number of trivial leaves; sub-results are memoized per
+    (mask, trivial count, depth budget), and an arrow splits both between
+    tail and head in every way but an empty side.
     """
-    n = len(leaves)
-    memo: dict[tuple[int, int], tuple[TypeExpr, ...]] = {}
+    trivial = Elementary((Atom("I", 1),))
 
-    def build(mask: int, budget: int) -> tuple[TypeExpr, ...]:
-        key = (mask, budget)
-        if key in memo:
-            return memo[key]
-        picked = [i for i in range(n) if mask >> i & 1]
+    @cache
+    def build(mask: int, t: int, budget: int) -> tuple[TypeExpr, ...]:
         out: list[TypeExpr] = []
-        if len(picked) == 1:
+        if mask.bit_count() + t == 1:
             if budget >= 1:
-                out.append(leaves[picked[0]])
+                out.append(blocks[mask.bit_length() - 1] if mask else trivial)
         elif budget >= 2:
-            sub = (mask - 1) & mask
-            while sub:
-                rest = mask ^ sub
-                if rest:
-                    for tail in build(sub, budget - 1):
-                        for head in build(rest, budget - 1):
-                            out.append(Arrow(tail, head))
-                sub = (sub - 1) & mask
-        memo[key] = tuple(out)
-        return memo[key]
+            for sub in (s for s in range(mask + 1) if s & mask == s):
+                for ts in range(t + 1):
+                    if (sub or ts) and (sub != mask or ts != t):
+                        for tail in build(sub, ts, budget - 1):
+                            for head in build(mask ^ sub, t - ts, budget - 1):
+                                out.append(Arrow(tail, head))
+        return tuple(out)
 
-    full = (1 << n) - 1
-    yield from build(full, max_depth)
+    full = (1 << len(blocks)) - 1
+    for t in range(max_trivial + 1):
+        yield from build(full, t, max_depth)
 
 
 def enumerate_types(
     spec: SearchSpec, cap: int = ENUMERATION_CAP
 ) -> Iterator[TypeExpr]:
-    """Every type within the spec's structural bounds, deduplicated.
+    """Every type within the spec's structural bounds, each exactly once.
 
     Leaves are elementary layers: the mandatory factors are grouped by a set
     partition (atoms inside a block sorted by label), and up to
     ``max_trivial_leaves`` standalone one-dimensional leaves are added.
-    Arrow trees over the leaves are produced in both operand orders.  The
-    stream follows a fixed deterministic order and suppresses duplicates by
-    canonical string; the candidate count is estimated up front and
+    Arrow trees over the leaves are produced in both operand orders, in a
+    fixed deterministic order; the candidate count is estimated up front and
     :class:`EnumerationCapExceeded` is raised before the first yield when it
     exceeds ``cap``.
     """
@@ -240,20 +237,12 @@ def enumerate_types(
             f"estimated {estimate} candidates exceeds cap {cap}"
         )
     atoms = [Atom(_LEAF_LABELS[i], d) for i, d in enumerate(spec.dims)]
-    trivial = Elementary((Atom("I", 1),))
-    seen: set[str] = set()
     for part in _set_partitions(range(len(atoms))):
         blocks = [
             Elementary(tuple(atoms[i] for i in sorted(block))) for block in part
         ]
         blocks.sort(key=print_canonical)
-        for extra in range(spec.max_trivial_leaves + 1):
-            leaves = blocks + [trivial] * extra
-            for tree in _trees_over(leaves, spec.max_depth):
-                text = print_canonical(tree)
-                if text not in seen:
-                    seen.add(text)
-                    yield tree
+        yield from _trees_over(blocks, spec.max_trivial_leaves, spec.max_depth)
 
 
 def inverse_search(
@@ -293,21 +282,20 @@ def inverse_search(
             sem = upsilon(cand)
             if spec.target_lambda is not None and sem.lambda_ != spec.target_lambda:
                 continue
-            if tuple(sem.dims) == spec.dims and sem.delta == spec.target:
-                matches.append(print_canonical(cand))
-                continue
             if spec.allow_permutations:
-                perm = find_alignment(
+                hit = find_alignment(
                     sem.delta, tuple(sem.dims), spec.target, spec.dims
-                )
-                if perm is not None:
-                    matches.append(print_canonical(cand))
+                ) is not None
+            else:
+                hit = tuple(sem.dims) == spec.dims and sem.delta == spec.target
+            if hit:
+                matches.append(print_canonical(cand))
     except EnumerationCapExceeded:
         exhausted = False
     if progress is not None:
         progress(examined, pruned)
     return SearchResult(
-        matches=tuple(sorted(set(matches))),
+        matches=tuple(sorted(matches)),
         exhausted=exhausted,
         pruned_count=pruned,
     )

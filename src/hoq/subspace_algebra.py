@@ -125,12 +125,6 @@ def union(a: StringSet, b: StringSet) -> StringSet:
     return StringSet(a.length, a.strings | b.strings)
 
 
-def intersection(a: StringSet, b: StringSet) -> StringSet:
-    if a.length != b.length:
-        raise ValueError(f"length mismatch: {a.length} vs {b.length}")
-    return StringSet(a.length, a.strings & b.strings)
-
-
 def concat(a: StringSet, b: StringSet) -> StringSet:
     """Pairwise concatenation {uv : u in a, v in b}; lengths add."""
     length = a.length + b.length

@@ -1,6 +1,7 @@
 """Test-only index-set routes that the package itself does not need.
 
-``concat_power`` repeats a set by concatenation.  ``comb_tensor_delta`` and
+``intersection`` intersects two sets of one length and ``concat_power``
+repeats a set by concatenation.  ``comb_tensor_delta`` and
 ``comb_arrow_delta`` build the index sets of tensor and arrow compositions
 of combs from wire-level chains, a route independent of the Delta recursion
 on the composite type, which the tests compare them with.  Unlike
@@ -17,12 +18,17 @@ from hoq.subspace_algebra import (
     StringSet,
     concat,
     delta_of_type,
-    intersection,
     normal_form,
     permute,
     union,
 )
 from hoq.type_ast import Arrow, Atom, Elementary, TypeExpr, make_comb
+
+
+def intersection(a: StringSet, b: StringSet) -> StringSet:
+    if a.length != b.length:
+        raise ValueError(f"length mismatch: {a.length} vs {b.length}")
+    return StringSet(a.length, a.strings & b.strings)
 
 
 def concat_power(J: StringSet, k: int) -> StringSet:

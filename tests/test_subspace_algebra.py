@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from comb_routes import concat_power
+from comb_routes import concat_power, intersection
 from generators import type_strategy
 from helpers import to_json_obj
 from hoq.subspace_algebra import (
@@ -20,7 +20,6 @@ from hoq.subspace_algebra import (
     from_json_obj,
     full_sets,
     int_to_bits,
-    intersection,
     normal_form,
     permute,
     perp_in_W,
