@@ -227,7 +227,8 @@ def _block_basis(
         if d > 1:
             v = at_identity - np.eye(d).ravel() / np.sqrt(d)
             reflections.append(np.eye(d * d) - np.outer(v, v) * (2 / (v @ v)))
-    mask = np.isin(pattern.ravel(), list(J.strings))
+    bitmap = np.frombuffer(J.bits.to_bytes((1 << k) // 8 + 1, "little"), np.uint8)
+    mask = np.unpackbits(bitmap, bitorder="little").astype(bool)[pattern.ravel()]
     for a in (*reflections, mask):
         a.setflags(write=False)
     return order, reflections, mask
@@ -247,7 +248,7 @@ def _project_delta_matrix(
     """Orthogonal projection onto the blocks in J. It is linear and keeps
     Hermitian operators Hermitian; it does not symmetrize its input."""
     side = mat.shape[0]
-    if not J.strings:
+    if not J.bits:
         return np.zeros((side, side), dtype=complex)
     order, reflections, mask = _block_basis(dims, J)
     t = mat.reshape(dims + dims).transpose(order)

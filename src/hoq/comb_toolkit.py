@@ -112,9 +112,8 @@ def comb_delta_closed(spec: CombSpec) -> StringSet:
     """Index set of the n-comb by the closed union formula (full positions).
 
     Agrees with delta_of_type(spec.derived); the two routes are independent
-    and tested against each other.  A comb over more than
-    MAX_EXPLICIT_FACTORS positions raises CapacityError before any block is
-    built.
+    and tested against each other.  A comb over more than MAX_FACTORS
+    positions raises CapacityError before any block is built.
     """
     _refuse_beyond_capacity(len(factor_dims(spec.derived)), "factor positions")
     n = spec.n
@@ -122,7 +121,7 @@ def comb_delta_closed(spec: CombSpec) -> StringSet:
 
     def block(kinds: Sequence[str]) -> StringSet:
         assert len(kinds) == n
-        acc = StringSet(0, frozenset({0}))
+        acc = full_sets(0)[0]
         for tooth, kind in zip(teeth, kinds):
             acc = concat(acc, tooth[kind])
         return acc

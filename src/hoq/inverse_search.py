@@ -37,9 +37,8 @@ __all__ = [
     "inverse_search",
 ]
 
-# Hard ceiling on how many candidate trees a single search may walk.  The
-# estimate below counts leaves as distinguishable, so it upper-bounds the
-# number of distinct trees actually yielded.
+# Hard ceiling on how many candidate trees a single search may walk,
+# compared with the exact count of estimate_candidates before the first one.
 ENUMERATION_CAP = 2_000_000
 
 # How often the optional progress callback fires (in examined candidates).
@@ -93,7 +92,7 @@ class SearchSpec:
                 f"expected {len(self.dims)}"
             )
         e = (1 << len(self.dims)) - 1
-        if e in self.target.strings:
+        if e in self.target:
             raise ValueError("target must not contain the all-identity string")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
@@ -130,15 +129,20 @@ class SearchResult:
 
 
 @cache
-def _tree_count(leaves: int, depth: int) -> int:
-    """Trees over `leaves` distinguishable leaves with depth <= `depth`."""
-    if leaves == 1:
+def _tree_count(blocks: int, trivial: int, depth: int) -> int:
+    """How many trees _trees_over builds over `blocks` distinguishable leaves
+    and `trivial` identical ones within depth `depth`: its splits, counted."""
+    if blocks + trivial == 1:
         return 1 if depth >= 1 else 0
-    if depth < 2:
-        return 0
+    if depth < 2 or blocks + trivial > 1 << (depth - 1):
+        return 0  # a tree of depth D holds at most 2^(D-1) leaves
     return sum(
-        comb(leaves, k) * _tree_count(k, depth - 1) * _tree_count(leaves - k, depth - 1)
-        for k in range(1, leaves)
+        comb(blocks, k)
+        * _tree_count(k, ts, depth - 1)
+        * _tree_count(blocks - k, trivial - ts, depth - 1)
+        for k in range(blocks + 1)
+        for ts in range(trivial + 1)
+        if (k or ts) and (k != blocks or ts != trivial)
     )
 
 
@@ -155,16 +159,17 @@ def _partition_count(n: int, blocks: int) -> int:
 
 
 def estimate_candidates(spec: SearchSpec) -> int:
-    """Upper bound on the number of candidates enumerate_types walks.
+    """The exact number of candidates enumerate_types yields.
 
-    Counts leaves as distinguishable; identical trivial leaves only shrink
-    the true stream, so this bound is safe for the cap check.
+    Each set partition of the factors into blocks gives distinct leaves, and
+    trees over them are counted as _trees_over builds them, with identical
+    trivial leaves counted once.
     """
     n = len(spec.dims)
     total = 0
     for blocks in range(1, n + 1):
         shapes = sum(
-            _tree_count(blocks + k, spec.max_depth)
+            _tree_count(blocks, k, spec.max_depth)
             for k in range(spec.max_trivial_leaves + 1)
         )
         total += _partition_count(n, blocks) * shapes
@@ -227,15 +232,13 @@ def enumerate_types(
     partition (atoms inside a block sorted by label), and up to
     ``max_trivial_leaves`` standalone one-dimensional leaves are added.
     Arrow trees over the leaves are produced in both operand orders, in a
-    fixed deterministic order; the candidate count is estimated up front and
-    :class:`EnumerationCapExceeded` is raised before the first yield when it
-    exceeds ``cap``.
+    fixed deterministic order; the candidates are counted up front and
+    :class:`EnumerationCapExceeded` is raised before the first yield when
+    there are more than ``cap``.
     """
-    estimate = estimate_candidates(spec)
-    if estimate > cap:
-        raise EnumerationCapExceeded(
-            f"estimated {estimate} candidates exceeds cap {cap}"
-        )
+    count = estimate_candidates(spec)
+    if count > cap:
+        raise EnumerationCapExceeded(f"{count} candidates exceed the cap {cap}")
     atoms = [Atom(_LEAF_LABELS[i], d) for i, d in enumerate(spec.dims)]
     for part in _set_partitions(range(len(atoms))):
         blocks = [

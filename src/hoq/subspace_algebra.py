@@ -4,7 +4,9 @@ An operator space over factors of dimensions (d_1, .., d_k) splits into
 orthogonal blocks L_b indexed by bitstrings b of length k: bit 1 at position i
 means "proportional to the identity on factor i", bit 0 means "traceless on
 factor i".  Strings are displayed left to right in factor order; internally
-they are stored as integers with the leftmost factor in the highest bit.
+they are integers with the leftmost factor in the highest bit, and a set of
+strings of length k is one int of 2^k bits with bit s set when string s is in
+it, so the set algebra runs as whole-integer operations.
 
 W is the full set {0,1}^k, e the all-ones string (the identity block) and
 T = W \\ {e}.  Concatenation of index sets mirrors the tensor product of the
@@ -15,16 +17,14 @@ non-trivial (d > 1) ones only; more than 24 positions raise CapacityError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from hoq.type_ast import Arrow, Elementary, TypeExpr, factor_dims
 
-MAX_FACTORS = 64
-# W is materialized string by string, so it is refused beyond this length:
-# 2^24 strings already take about a gigabyte.
-MAX_EXPLICIT_FACTORS = 24
+MAX_FACTORS = 24
+# An index set over k positions is one int of 2^k bits, so the largest one
+# takes 2 MB; the recursion's intermediates stay within a few times that.
 
 
 class CapacityError(ValueError):
@@ -41,101 +41,167 @@ def int_to_bits(value: int, length: int) -> str:
     return format(value, f"0{length}b") if length else ""
 
 
-@dataclass(frozen=True)
+def _check_length(length: int) -> None:
+    if not 0 <= length <= MAX_FACTORS:
+        raise CapacityError(f"string length {length} outside [0, {MAX_FACTORS}]")
+
+
+def _bitmap(length: int, members: Iterable[int]) -> int:
+    """The bitmap of the given strings, which must fit ``length``."""
+    chars = bytearray(b"0" * (1 << length))
+    for s in members:
+        chars[s] = 49  # "1"
+    chars.reverse()
+    return int(chars, 2)
+
+
 class StringSet:
-    """A set of index strings of a common length."""
+    """A set of index strings of a common length, held as a bitmap: bit s of
+    ``bits`` is set exactly when string s is in the set.
 
+    ``StringSet(length, strings)`` validates its input; the set operations
+    below build their results unchecked, as they only produce strings that
+    fit.  Iteration yields the strings in ascending order.
+    """
+
+    __slots__ = ("length", "bits")
     length: int
-    strings: frozenset[int]
+    bits: int
 
-    def __post_init__(self) -> None:
-        if self.length < 0 or self.length > MAX_FACTORS:
-            raise CapacityError(
-                f"string length {self.length} outside [0, {MAX_FACTORS}]"
-            )
-        if not isinstance(self.strings, frozenset):
-            object.__setattr__(self, "strings", frozenset(self.strings))
-        lo, hi = min(self.strings, default=0), max(self.strings, default=0)
-        if lo < 0 or hi >= 1 << self.length:
-            bad = lo if lo < 0 else hi
-            raise ValueError(f"string {bad} does not fit length {self.length}")
+    def __init__(self, length: int, strings: Iterable[int]) -> None:
+        _check_length(length)
+        strings = tuple(strings)
+        for s in strings:
+            if not 0 <= s < 1 << length:
+                raise ValueError(f"string {s} does not fit length {length}")
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "bits", _bitmap(length, strings))
+
+    @classmethod
+    def _of(cls, length: int, bits: int) -> "StringSet":
+        new = object.__new__(cls)
+        object.__setattr__(new, "length", length)
+        object.__setattr__(new, "bits", bits)
+        return new
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("StringSet is immutable")
+
+    def __reduce__(self):
+        return StringSet._of, (self.length, self.bits)
 
     @staticmethod
     def from_bitstrings(length: int, bitstrings: Iterable[str]) -> "StringSet":
-        vals = set()
+        vals = []
         for b in bitstrings:
             if len(b) != length:
                 raise ValueError(f"{b!r} has length {len(b)}, expected {length}")
-            vals.add(bits_to_int(b))
-        return StringSet(length, frozenset(vals))
+            vals.append(bits_to_int(b))
+        return StringSet(length, vals)
+
+    @property
+    def strings(self) -> frozenset[int]:
+        return frozenset(self)
 
     def as_bitstrings(self) -> list[str]:
-        return [int_to_bits(s, self.length) for s in sorted(self.strings)]
+        return [int_to_bits(s, self.length) for s in self]
 
     def __len__(self) -> int:
-        return len(self.strings)
+        return self.bits.bit_count()
 
     def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self.strings))
+        text = format(self.bits, "b")[::-1]  # character s stands for string s
+        s = text.find("1")
+        while s >= 0:
+            yield s
+            s = text.find("1", s + 1)
 
     def __contains__(self, item: object) -> bool:
         if isinstance(item, str):
-            return len(item) == self.length and bits_to_int(item) in self.strings
-        return item in self.strings
+            if len(item) != self.length:
+                return False
+            item = bits_to_int(item)
+        if not isinstance(item, int) or not 0 <= item < 1 << self.length:
+            return False
+        return bool(self.bits >> item & 1)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StringSet):
+            return NotImplemented
+        return self.length == other.length and self.bits == other.bits
 
-def _everything(length: int) -> frozenset[int]:
-    """The strings of W at the given length, refused beyond
-    MAX_EXPLICIT_FACTORS positions: there they are a memory hazard, not an
-    index set."""
-    if not 0 <= length <= MAX_EXPLICIT_FACTORS:
-        raise CapacityError(f"refusing to materialize 2^{length} strings")
-    return frozenset(range(1 << length))
+    def __hash__(self) -> int:
+        return hash((self.length, self.bits))
+
+    def __repr__(self) -> str:
+        return f"StringSet.from_bitstrings({self.length}, {self.as_bitstrings()})"
 
 
 def full_sets(length: int) -> tuple[StringSet, StringSet, StringSet]:
     """Return (W, T, e) at the given length: everything, everything but the
     all-ones string, and the all-ones singleton.  At length 0, W = e = {ε}
     and T is empty."""
-    e = (1 << length) - 1
-    everything = _everything(length)
+    _check_length(length)
+    e = 1 << ((1 << length) - 1)  # the bit of the all-ones string
     return (
-        StringSet(length, everything),
-        StringSet(length, everything - {e}),
-        StringSet(length, frozenset({e})),
+        StringSet._of(length, 2 * e - 1),
+        StringSet._of(length, e - 1),
+        StringSet._of(length, e),
     )
 
 
 def complement_in_T(J: StringSet) -> StringSet:
     """T \\ J.  The all-ones string must not be in J."""
-    e = (1 << J.length) - 1
-    if e in J.strings:
+    e = 1 << ((1 << J.length) - 1)
+    if J.bits & e:
         raise ValueError("complement_in_T: the identity string is not in T")
-    return StringSet(J.length, _everything(J.length) - J.strings - {e})
+    return StringSet._of(J.length, (e - 1) ^ J.bits)
 
 
 def perp_in_W(J: StringSet) -> StringSet:
     """W \\ J."""
-    return StringSet(J.length, _everything(J.length) - J.strings)
+    return StringSet._of(J.length, ((1 << (1 << J.length)) - 1) ^ J.bits)
 
 
 def union(a: StringSet, b: StringSet) -> StringSet:
     if a.length != b.length:
         raise ValueError(f"length mismatch: {a.length} vs {b.length}")
-    return StringSet(a.length, a.strings | b.strings)
+    return StringSet._of(a.length, a.bits | b.bits)
 
 
 def concat(a: StringSet, b: StringSet) -> StringSet:
-    """Pairwise concatenation {uv : u in a, v in b}; lengths add."""
+    """Pairwise concatenation {uv : u in a, v in b}; lengths add.
+
+    String uv is u * 2^len(b) + v, so the result holds b's bitmap in each
+    2^len(b)-bit block that a selects.  Each binary digit of a is widened to
+    its block as digits of a power-of-two base, and the text is read back as
+    one int."""
     length = a.length + b.length
     if length > MAX_FACTORS:
         raise CapacityError(f"concatenated length {length} exceeds {MAX_FACTORS}")
-    if not a.strings or not b.strings:
-        return StringSet(length, frozenset())
-    shift = b.length
-    return StringSet(
-        length, frozenset((u << shift) | v for u in a.strings for v in b.strings)
-    )
+    text = format(a.bits, "b")
+    if b.length < 2:  # a block of one or two bits: one digit in base 2 or 4
+        bits = int(text.replace("1", str(b.bits)), 2 << b.length)
+    else:  # a block of 2^len(b) bits: 2^len(b) / 4 hex digits
+        digits = 1 << (b.length - 2)
+        block = format(b.bits, f"0{digits}x")
+        bits = int(text.replace("0", "0" * digits).replace("1", block), 16)
+    return StringSet._of(length, bits)
+
+
+def _gather(
+    J: StringSet, length: int, moves: list[tuple[int, int]], need: int = 0
+) -> StringSet:
+    """The strings of J that have every bit of ``need`` set, each rebuilt
+    from the bits that ``moves`` (source shift, target shift) carry over."""
+    out = []
+    for s in J:
+        if s & need == need:
+            v = 0
+            for src, dst in moves:
+                v |= (s >> src & 1) << dst
+            out.append(v)
+    return StringSet._of(length, _bitmap(length, out))
 
 
 def permute(J: StringSet, perm: Sequence[int]) -> StringSet:
@@ -143,14 +209,7 @@ def permute(J: StringSet, perm: Sequence[int]) -> StringSet:
     if sorted(perm) != list(range(J.length)):
         raise ValueError(f"not a permutation of range({J.length}): {perm}")
     ell = J.length
-    out = set()
-    for s in J.strings:
-        v = 0
-        for i, p in enumerate(perm):
-            bit = (s >> (ell - 1 - p)) & 1
-            v |= bit << (ell - 1 - i)
-        out.add(v)
-    return StringSet(ell, frozenset(out))
+    return _gather(J, ell, [(ell - 1 - p, ell - 1 - i) for i, p in enumerate(perm)])
 
 
 def normal_form(
@@ -166,25 +225,13 @@ def normal_form(
     dims = tuple(dims)
     if len(dims) != J.length:
         raise ValueError(f"{len(dims)} dims for strings of length {J.length}")
-    keep = [i for i, d in enumerate(dims) if d > 1]
-    if len(keep) == len(dims):
-        return J, dims
     ell = J.length
-    out = set()
-    for s in J.strings:
-        ok = True
-        for i, d in enumerate(dims):
-            if d == 1 and not (s >> (ell - 1 - i)) & 1:
-                ok = False
-                break
-        if not ok:
-            continue
-        v = 0
-        for j, i in enumerate(keep):
-            bit = (s >> (ell - 1 - i)) & 1
-            v |= bit << (len(keep) - 1 - j)
-        out.add(v)
-    return StringSet(len(keep), frozenset(out)), tuple(dims[i] for i in keep)
+    keep = [i for i, d in enumerate(dims) if d > 1]
+    if len(keep) == ell:
+        return J, dims
+    trivial = sum(1 << (ell - 1 - i) for i, d in enumerate(dims) if d == 1)
+    moves = [(ell - 1 - i, len(keep) - 1 - j) for j, i in enumerate(keep)]
+    return _gather(J, len(keep), moves, trivial), tuple(dims[i] for i in keep)
 
 
 def dim_of_delta(J: StringSet, dims: Sequence[int]) -> int:
@@ -193,12 +240,13 @@ def dim_of_delta(J: StringSet, dims: Sequence[int]) -> int:
     if len(dims) != J.length:
         raise ValueError(f"{len(dims)} dims for strings of length {J.length}")
     ell = J.length
+    weights = [(ell - 1 - i, d * d - 1) for i, d in enumerate(dims)]
     total = 0
-    for s in J.strings:
+    for s in J:
         term = 1
-        for i, d in enumerate(dims):
-            if not (s >> (ell - 1 - i)) & 1:
-                term *= d * d - 1
+        for shift, w in weights:
+            if not s >> shift & 1:
+                term *= w
         total += term
     return total
 
@@ -218,25 +266,24 @@ def _delta(x: TypeExpr, full: bool) -> StringSet:
     if isinstance(x, Elementary):
         k = len(x.atoms) if full else sum(a.dim > 1 for a in x.atoms)
         if all(a.dim == 1 for a in x.atoms):
-            return StringSet(k, frozenset())
-        return StringSet(k, _everything(k) - {(1 << k) - 1})
+            return StringSet._of(k, 0)
+        return full_sets(k)[1]
     if isinstance(x, Arrow):
         d_tail, d_head = _delta(x.tail, full), _delta(x.head, full)
         return union(
-            concat(StringSet(d_tail.length, _everything(d_tail.length)), d_head),
+            concat(full_sets(d_tail.length)[0], d_head),
             concat(complement_in_T(d_tail), perp_in_W(d_head)),
         )
     raise TypeError(f"not a type expression: {x!r}")
 
 
 def _refuse_beyond_capacity(positions: int, what: str) -> None:
-    """Refuse a type before its index set is built: past
-    MAX_EXPLICIT_FACTORS positions the sets along the recursion no longer
-    fit in memory."""
-    if positions > MAX_EXPLICIT_FACTORS:
+    """Refuse a type before its index set is built: no index set spans more
+    than MAX_FACTORS positions."""
+    if positions > MAX_FACTORS:
         raise CapacityError(
             f"the type has {positions} {what}; index sets "
-            f"are built explicitly up to {MAX_EXPLICIT_FACTORS}"
+            f"span at most {MAX_FACTORS}"
         )
 
 
@@ -246,8 +293,8 @@ def delta_of_type(x: TypeExpr) -> StringSet:
     the trivial ones).  Elementary layer: every non-identity pattern, i.e. T
     over its atoms — except that an all-trivial group contributes the empty
     set, so the trivial type has an empty index set exactly.  Arrow x -> y:
-    W_x · D_y  ∪  (T_x \\ D_x) · (W_y \\ D_y).  More than
-    MAX_EXPLICIT_FACTORS atom positions raise CapacityError."""
+    W_x · D_y  ∪  (T_x \\ D_x) · (W_y \\ D_y).  More than MAX_FACTORS atom
+    positions raise CapacityError."""
     _refuse_beyond_capacity(len(factor_dims(x)), "factor positions")
     return _delta(x, True)
 
@@ -256,7 +303,7 @@ def delta_normal_form(x: TypeExpr) -> tuple[StringSet, tuple[int, ...]]:
     """The recursion of delta_of_type over the non-trivial factors only (an
     all-trivial layer has length 0: W = {ε}, T = ∅), and their dims; equals
     normal_form(delta_of_type(x), factor_dims(x)) without building the
-    latter.  More than MAX_EXPLICIT_FACTORS non-trivial positions raise
+    latter.  More than MAX_FACTORS non-trivial positions raise
     CapacityError."""
     dims = tuple(d for d in factor_dims(x) if d > 1)
     _refuse_beyond_capacity(len(dims), "non-trivial factor positions")

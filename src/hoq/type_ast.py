@@ -24,7 +24,7 @@ the outermost pair, e.g. ``(A:2->B:2)->C:2``.  ``parse_type`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 from typing import Sequence, Union
 
@@ -105,10 +105,12 @@ class Elementary:
     """An elementary layer: a nonempty group of atoms, written A:2*B:3."""
 
     atoms: tuple[Atom, ...]
+    dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.atoms:
             raise ValueError("elementary type needs at least one atom")
+        object.__setattr__(self, "dims", tuple(a.dim for a in self.atoms))
 
     def __str__(self) -> str:
         return print_canonical(self)
@@ -120,6 +122,10 @@ class Arrow:
 
     tail: "TypeExpr"
     head: "TypeExpr"
+    dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "dims", self.tail.dims + self.head.dims)
 
     def __str__(self) -> str:
         return print_canonical(self)
@@ -278,15 +284,14 @@ def print_canonical(x: TypeExpr) -> str:
 
 def factor_dims(x: TypeExpr) -> tuple[int, ...]:
     """Dimension of every atom occurrence, in factor order: tails before
-    heads, groups left to right (trivial ones included)."""
-    if isinstance(x, Elementary):
-        return tuple(a.dim for a in x.atoms)
-    return factor_dims(x.tail) + factor_dims(x.head)
+    heads, groups left to right (trivial ones included).  Each type node
+    computes it once, when it is built."""
+    return x.dims
 
 
 def total_dim(x: TypeExpr) -> int:
     """Dimension of the full Hilbert space carrying events of type ``x``."""
-    return prod(factor_dims(x))
+    return prod(x.dims)
 
 
 def type_depth(x: TypeExpr) -> int:

@@ -354,6 +354,19 @@ def test_index_set_file_strings_must_be_a_list_of_strings(invoke, tmp_path, stri
     assert code == 2 and out == "" and "strings" in err
 
 
+@pytest.mark.parametrize("strings", [[], ["0" * 25]])
+def test_index_set_file_beyond_capacity_is_refused_at_load(
+    invoke, tmp_path, strings
+):
+    # 25 positions exceed MAX_FACTORS whether or not the set is empty; the
+    # file is refused before any candidate is counted or built
+    d = write_index_set(tmp_path / "t.json", (2,) * 25, strings)
+    code, out, err = invoke(
+        "inverse", "--dims", ",".join(["2"] * 25), "--delta", d, "--max-depth", "2"
+    )
+    assert code == 2 and out == "" and "outside [0, 24]" in err
+
+
 @pytest.mark.parametrize("max_iter", ["0", "-5"])
 def test_check_adm_refuses_max_iter_below_one(invoke, tmp_path, max_iter):
     m = write_matrix(tmp_path / "u.json", (2, 2), 0.5 * np.eye(4))

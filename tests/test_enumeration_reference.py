@@ -112,7 +112,7 @@ def test_enumeration_matches_the_dedupe_reference(text):
             reference = reference_types(spec)
             assert len(texts) == len(set(texts))
             assert set(texts) == set(reference)
-            assert len(texts) <= estimate_candidates(spec)
+            assert len(texts) == estimate_candidates(spec)
             dim_of = {t: delta_dimension(x) for t, x in reference.items()}
             wanted = dim_of_delta(target, dims)
             rows = [(t, dim_of[t], upsilon(x) if dim_of[t] == wanted else None)
