@@ -63,7 +63,6 @@ __all__ = [
     "HermOp",
     "MembershipReport",
     "FeasibilityReport",
-    "partial_trace",
     "reorder_factors",
     "apply_inverse_choi",
     "check_deterministic",
@@ -154,23 +153,6 @@ def _checked_side(dims: Sequence[int]) -> int:
 # --------------------------------------------------------------------------
 # factor plumbing
 # --------------------------------------------------------------------------
-
-
-def partial_trace(O: HermOp, positions: Sequence[int]) -> HermOp:
-    """Trace out the given factor positions (0-based); the rest keep order."""
-    k = len(O.dims)
-    traced = set(int(p) for p in positions)
-    if any(p < 0 or p >= k for p in traced):
-        raise ValueError(f"positions {sorted(traced)} out of range for {k} factors")
-    keep = [i for i in range(k) if i not in traced]
-    t = O.matrix.reshape(O.dims + O.dims)
-    row = list(range(k))
-    col = [i if i in traced else k + i for i in range(k)]
-    out = [i for i in keep] + [k + i for i in keep]
-    reduced = np.einsum(t, row + col, out)
-    new_dims = tuple(O.dims[i] for i in keep)
-    side = prod(new_dims)
-    return HermOp(new_dims, reduced.reshape(side, side))
 
 
 def reorder_factors(O: HermOp, perm: Sequence[int]) -> HermOp:

@@ -159,20 +159,25 @@ def _partition_count(n: int, blocks: int) -> int:
 
 
 def estimate_candidates(spec: SearchSpec) -> int:
-    """The exact number of candidates enumerate_types yields.
+    """The number of candidates enumerate_types yields, exact up to
+    ENUMERATION_CAP.
 
     Each set partition of the factors into blocks gives distinct leaves, and
     trees over them are counted as _trees_over builds them, with identical
-    trivial leaves counted once.
+    trivial leaves counted once.  Terms are added in increasing number of
+    trivial leaves, and the count stops at the first partial total above
+    ENUMERATION_CAP: past the cap it returns that total, a number above the
+    cap but not the exact count.
     """
     n = len(spec.dims)
     total = 0
-    for blocks in range(1, n + 1):
-        shapes = sum(
-            _tree_count(blocks, k, spec.max_depth)
-            for k in range(spec.max_trivial_leaves + 1)
-        )
-        total += _partition_count(n, blocks) * shapes
+    for k in range(spec.max_trivial_leaves + 1):
+        for blocks in range(1, n + 1):
+            total += _partition_count(n, blocks) * _tree_count(
+                blocks, k, spec.max_depth
+            )
+            if total > ENUMERATION_CAP:
+                return total
     return total
 
 
@@ -199,23 +204,24 @@ def _trees_over(
     Trivial leaves are interchangeable, so a subtree is fixed by its block
     bitmask and its number of trivial leaves; sub-results are memoized per
     (mask, trivial count, depth budget), and an arrow splits both between
-    tail and head in every way but an empty side.
+    tail and head in every way but an empty side.  The budget is at least 1.
     """
     trivial = Elementary((Atom("I", 1),))
 
     @cache
     def build(mask: int, t: int, budget: int) -> tuple[TypeExpr, ...]:
+        leaves = mask.bit_count() + t
+        if leaves > 1 << (budget - 1):
+            return ()  # a tree of depth D holds at most 2^(D-1) leaves
+        if leaves == 1:
+            return (blocks[mask.bit_length() - 1] if mask else trivial,)
         out: list[TypeExpr] = []
-        if mask.bit_count() + t == 1:
-            if budget >= 1:
-                out.append(blocks[mask.bit_length() - 1] if mask else trivial)
-        elif budget >= 2:
-            for sub in (s for s in range(mask + 1) if s & mask == s):
-                for ts in range(t + 1):
-                    if (sub or ts) and (sub != mask or ts != t):
-                        for tail in build(sub, ts, budget - 1):
-                            for head in build(mask ^ sub, t - ts, budget - 1):
-                                out.append(Arrow(tail, head))
+        for sub in (s for s in range(mask + 1) if s & mask == s):
+            for ts in range(t + 1):
+                if (sub or ts) and (sub != mask or ts != t):
+                    for tail in build(sub, ts, budget - 1):
+                        for head in build(mask ^ sub, t - ts, budget - 1):
+                            out.append(Arrow(tail, head))
         return tuple(out)
 
     full = (1 << len(blocks)) - 1
@@ -223,9 +229,7 @@ def _trees_over(
         yield from build(full, t, max_depth)
 
 
-def enumerate_types(
-    spec: SearchSpec, cap: int = ENUMERATION_CAP
-) -> Iterator[TypeExpr]:
+def enumerate_types(spec: SearchSpec) -> Iterator[TypeExpr]:
     """Every type within the spec's structural bounds, each exactly once.
 
     Leaves are elementary layers: the mandatory factors are grouped by a set
@@ -234,11 +238,13 @@ def enumerate_types(
     Arrow trees over the leaves are produced in both operand orders, in a
     fixed deterministic order; the candidates are counted up front and
     :class:`EnumerationCapExceeded` is raised before the first yield when
-    there are more than ``cap``.
+    there are more than ENUMERATION_CAP.
     """
     count = estimate_candidates(spec)
-    if count > cap:
-        raise EnumerationCapExceeded(f"{count} candidates exceed the cap {cap}")
+    if count > ENUMERATION_CAP:
+        raise EnumerationCapExceeded(
+            f"{count} candidates exceed the cap {ENUMERATION_CAP}"
+        )
     atoms = [Atom(_LEAF_LABELS[i], d) for i, d in enumerate(spec.dims)]
     for part in _set_partitions(range(len(atoms))):
         blocks = [
@@ -250,20 +256,18 @@ def enumerate_types(
 
 def inverse_search(
     spec: SearchSpec,
-    cap: int = ENUMERATION_CAP,
-    prune: bool = True,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> SearchResult:
     """Find every bounded type whose index data reproduces the target.
 
-    Candidates are walked via enumerate_types.  With ``prune`` on (the
-    default), a candidate is discarded without building its index set unless
-    the dimension recursion matches the target's total dimension; pruning
-    never removes a true match because equal index sets over equal factor
-    dimensions force equal dimensions.  Survivors must reproduce the target
-    exactly after normal form — against the caller's factor order, or up to
-    a factor permutation when ``allow_permutations`` is set — and must match
-    ``target_lambda`` when one is given.
+    Candidates are walked via enumerate_types.  A candidate is discarded
+    without building its index set unless the dimension recursion matches
+    the target's total dimension; pruning never removes a true match
+    because equal index sets over equal factor dimensions force equal
+    dimensions.  Survivors must reproduce the target exactly after normal
+    form — against the caller's factor order, or up to a factor permutation
+    when ``allow_permutations`` is set — and must match ``target_lambda``
+    when one is given.
 
     ``progress``, if given, is called as progress(examined, pruned) every
     PROGRESS_STRIDE candidates.  A capped enumeration yields no candidates
@@ -275,11 +279,11 @@ def inverse_search(
     examined = 0
     exhausted = True
     try:
-        for cand in enumerate_types(spec, cap=cap):
+        for cand in enumerate_types(spec):
             examined += 1
             if progress is not None and examined % PROGRESS_STRIDE == 0:
                 progress(examined, pruned)
-            if prune and delta_dimension(cand) != target_dim:
+            if delta_dimension(cand) != target_dim:
                 pruned += 1
                 continue
             sem = upsilon(cand)

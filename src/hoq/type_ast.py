@@ -24,6 +24,7 @@ the outermost pair, e.g. ``(A:2->B:2)->C:2``.  ``parse_type`` and
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from math import prod
 from typing import Sequence, Union
@@ -49,6 +50,10 @@ __all__ = [
 ]
 
 TRIVIAL_LABEL = "I"
+
+# A label is a word character that is neither a decimal digit nor "_",
+# followed by word characters; the tokenizer and Atom both use this pattern.
+_LABEL = re.compile(r"[^\W\d_]\w*")
 
 # Deepest nesting the parser accepts: each parenthesized type and each right
 # side of an arrow opens a level, so a parsed type is at most this deep.  The
@@ -82,9 +87,7 @@ class Atom:
     dim: int = 2
 
     def __post_init__(self) -> None:
-        if not self.label or not self.label[0].isalpha() or not all(
-            c.isalnum() or c == "_" for c in self.label
-        ):
+        if not _LABEL.fullmatch(self.label):
             raise ValueError(f"bad atom label {self.label!r}")
         if self.dim < 1:
             raise ValueError(f"atom dimension must be >= 1, got {self.dim}")
@@ -138,125 +141,76 @@ TypeExpr = Union[Elementary, Arrow]
 # parsing
 # --------------------------------------------------------------------------
 
-_SIMPLE_TOKENS = {"*": "STAR", "(": "LPAREN", ")": "RPAREN", ":": "COLON"}
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens: list[tuple[str, str, int]] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if text.startswith("->", i):
-            tokens.append(("ARROW", "->", i))
-            i += 2
-            continue
-        if c in _SIMPLE_TOKENS:
-            tokens.append((_SIMPLE_TOKENS[c], c, i))
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("INT", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("IDENT", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("END", "", n))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.depth = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def take(self, kind: str) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
-        self.pos += 1
-        return tok
-
-    def parse_type(self) -> TypeExpr:
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise ParseError(
-                f"type nested deeper than {MAX_NESTING} levels", self.peek()[2]
-            )
-        expr = self.parse_term()
-        if self.peek()[0] == "ARROW":
-            self.take("ARROW")
-            expr = Arrow(expr, self.parse_type())  # right associative
-        self.depth -= 1
-        return expr
-
-    def parse_term(self) -> TypeExpr:
-        kind, _, _ = self.peek()
-        if kind == "LPAREN":
-            self.take("LPAREN")
-            inner = self.parse_type()
-            self.take("RPAREN")
-            return inner
-        return self.parse_atomgroup()
-
-    def parse_atomgroup(self) -> Elementary:
-        atoms = [self.parse_atom()]
-        while self.peek()[0] == "STAR":
-            self.take("STAR")
-            atoms.append(self.parse_atom())
-        return Elementary(tuple(atoms))
-
-    def parse_atom(self) -> Atom:
-        kind, label, pos = self.take("IDENT")
-        if label == TRIVIAL_LABEL:
-            if self.peek()[0] == "COLON":
-                raise ParseError(
-                    f"the trivial system {TRIVIAL_LABEL!r} takes no dimension",
-                    self.peek()[2],
-                )
-            return Atom(TRIVIAL_LABEL, 1)
-        dim = 2
-        if self.peek()[0] == "COLON":
-            self.take("COLON")
-            _, digits, dpos = self.take("INT")
-            dim = int(digits)
-            if dim < 2:
-                raise ParseError(
-                    f"dimension {dim} not allowed for {label!r}; dimension 1 "
-                    f"is written {TRIVIAL_LABEL!r}",
-                    dpos,
-                )
-        return Atom(label, dim)
+# Whitespace matches no rule, so findall skips it.  Every other character
+# starts an operator, a dimension or a label, or is an error and yields "".
+_TOKEN = re.compile(rf"(->|[*():]|\d+|{_LABEL.pattern})|\S")
 
 
 def parse_type(text: str) -> TypeExpr:
     """Parse the concrete syntax into a type expression.
 
-    Raises :class:`ParseError` (a ``ValueError``) on malformed input and on
-    nesting deeper than MAX_NESTING, with the offending character position
-    attached.
+    Raises :class:`ParseError` (a ``ValueError``) on malformed input, a
+    character that no token takes included, and on nesting deeper than
+    MAX_NESTING, with the offending character position attached.
     """
-    parser = _Parser(text)
-    expr = parser.parse_type()
-    kind, value, pos = parser.peek()
-    if kind != "END":
-        raise ParseError(f"trailing input {value!r}", pos)
+    tokens = _TOKEN.findall(text)
+    if "" in tokens:
+        bad = next(m for m in _TOKEN.finditer(text) if not m[1])
+        raise ParseError(f"unexpected character {bad[0]!r}", bad.start())
+    tokens.append("")  # from here on, "" is the end of the input
+    at = 0
+
+    def error(message: str) -> ParseError:
+        # only an error needs token offsets, so only an error finds them
+        offsets = [m.start() for m in _TOKEN.finditer(text)] + [len(text)]
+        return ParseError(message, offsets[at])
+
+    def type_(depth: int) -> TypeExpr:
+        nonlocal at
+        if depth > MAX_NESTING:
+            raise error(f"type nested deeper than {MAX_NESTING} levels")
+        if tokens[at] == "(":
+            at += 1
+            expr = type_(depth + 1)
+            if tokens[at] != ")":
+                raise error(f"expected ')', found {tokens[at]!r}")
+            at += 1
+        else:
+            atoms = [atom()]
+            while tokens[at] == "*":
+                at += 1
+                atoms.append(atom())
+            expr = Elementary(tuple(atoms))
+        if tokens[at] == "->":
+            at += 1
+            return Arrow(expr, type_(depth + 1))  # right associative
+        return expr
+
+    def atom() -> Atom:
+        nonlocal at
+        label = tokens[at]
+        if not _LABEL.fullmatch(label):
+            raise error(f"expected a label, found {label!r}")
+        at += 1
+        if tokens[at] != ":":
+            return Atom(label, 1 if label == TRIVIAL_LABEL else 2)
+        if label == TRIVIAL_LABEL:
+            raise error(f"the trivial system {TRIVIAL_LABEL!r} takes no dimension")
+        at += 1
+        if not tokens[at].isdecimal():
+            raise error(f"expected a dimension, found {tokens[at]!r}")
+        dim = int(tokens[at])
+        if dim < 2:
+            raise error(
+                f"dimension {dim} not allowed for {label!r}; dimension 1 "
+                f"is written {TRIVIAL_LABEL!r}"
+            )
+        at += 1
+        return Atom(label, dim)
+
+    expr = type_(1)
+    if tokens[at]:
+        raise error(f"trailing input {tokens[at]!r}")
     return expr
 
 

@@ -12,14 +12,13 @@ from math import prod
 import numpy as np
 
 from generators import random_type
-from helpers import random_density
+from helpers import partial_trace, random_density
 from hoq.choi_numeric import (
     HermOp,
     check_admissible,
     check_deterministic,
     choi_from_kraus,
     max_admissible_scale,
-    partial_trace,
     random_channel_choi,
     reorder_factors,
     sample_deterministic,

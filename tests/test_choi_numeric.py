@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from generators import type_strategy
-from helpers import identity_op, random_density, save_matrix
+from helpers import identity_op, partial_trace, random_density, save_matrix
 from hoq import choi_numeric
 from hoq.choi_numeric import (
     DEFAULT_FEAS_TOL,
@@ -23,7 +23,6 @@ from hoq.choi_numeric import (
     matrix_to_json_obj,
     max_admissible_scale,
     oracle_deterministic,
-    partial_trace,
     random_channel_choi,
     reorder_factors,
     sample_deterministic,

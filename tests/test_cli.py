@@ -316,6 +316,19 @@ def test_inverse_no_match_exit(invoke, tmp_path):
     assert "examined" in err and "pruned" in err
 
 
+def test_inverse_past_the_cap_exits_3(invoke, tmp_path):
+    # the count stops once it passes the cap, so a deep bound with many
+    # trivial leaves is refused at once instead of recursing per level
+    d = write_index_set(tmp_path / "t.json", (2,), [])
+    code, out, err = invoke(
+        "inverse", "--dims", "2", "--delta", d,
+        "--max-depth", "1200", "--trivial-leaves", "1100",
+    )
+    assert code == 3
+    payload = validated(out, "inverse")
+    assert payload == {"matches": [], "exhausted": False, "pruned_count": 0}
+
+
 def test_inverse_flags(invoke, tmp_path):
     d = write_index_set(tmp_path / "t.json", (2, 3), ["00", "01"])
     code, out, _ = invoke(

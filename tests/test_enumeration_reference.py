@@ -127,6 +127,23 @@ def test_enumeration_matches_the_dedupe_reference(text):
                 ), (variant, kw)
 
 
+@pytest.mark.parametrize("text", GRID)
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_trivial_leaves_far_past_the_depth_bound(text, depth):
+    """A tree of depth D holds at most 2^(D-1) leaves: a trivial-leaf bound
+    far above it counts and builds the reference's candidates at 2^(D-1)."""
+    sem = upsilon(parse_type(text))
+    bound = 1 << (depth - 1)
+    far, near = (
+        SearchSpec(dims=tuple(sem.dims), target=sem.delta, max_depth=depth,
+                   max_trivial_leaves=trivial)
+        for trivial in (bound + 1000, bound)
+    )
+    texts = [print_canonical(t) for t in enumerate_types(far)]
+    assert len(texts) == estimate_candidates(far)
+    assert set(texts) == set(reference_types(near))
+
+
 def test_grid_finds_permuted_and_lambda_filtered_matches():
     """The search variants are not vacuous: a reversed channel matches only
     up to a permutation, and a wrong lambda removes every match."""

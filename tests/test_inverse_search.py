@@ -139,16 +139,15 @@ def all_two_factor_targets():
 @pytest.mark.parametrize("bitstrings", list(all_two_factor_targets()))
 def test_pruning_never_loses_matches(bitstrings):
     spec = spec_for((2, 2), bitstrings, max_depth=3)
-    pruned = inverse_search(spec, prune=True)
-    unpruned = inverse_search(spec, prune=False)
-    assert pruned.matches == unpruned.matches
-    assert unpruned.pruned_count == 0
-    assert pruned.exhausted and unpruned.exhausted
-    # every reported match really is a match
-    for text in pruned.matches:
-        sem = upsilon(parse_type(text))
-        assert tuple(sem.dims) == spec.dims
-        assert sem.delta == spec.target
+    pruned = inverse_search(spec)
+    # the unpruned search: upsilon on every candidate
+    unpruned = []
+    for cand in enumerate_types(spec):
+        sem = upsilon(cand)
+        if tuple(sem.dims) == spec.dims and sem.delta == spec.target:
+            unpruned.append(print_canonical(cand))
+    assert pruned.matches == tuple(sorted(unpruned))
+    assert pruned.exhausted
 
 
 def test_enumeration_has_no_duplicates():
@@ -167,17 +166,19 @@ def test_estimate_bounds_actual_count():
 # -- caps and validation -------------------------------------------------------
 
 
-def test_cap_raises_before_first_candidate():
+def test_cap_raises_before_first_candidate(monkeypatch):
+    monkeypatch.setattr("hoq.inverse_search.ENUMERATION_CAP", 3)
     spec = spec_for((2, 2), ["00"], max_depth=4)
     assert estimate_candidates(spec) > 3
-    gen = enumerate_types(spec, cap=3)
+    gen = enumerate_types(spec)
     with pytest.raises(EnumerationCapExceeded):
         next(gen)
 
 
-def test_capped_search_reports_not_exhausted():
+def test_capped_search_reports_not_exhausted(monkeypatch):
+    monkeypatch.setattr("hoq.inverse_search.ENUMERATION_CAP", 3)
     spec = spec_for((2, 2), ["00"], max_depth=4)
-    res = inverse_search(spec, cap=3)
+    res = inverse_search(spec)
     assert isinstance(res, SearchResult)
     assert res.matches == ()
     assert not res.exhausted

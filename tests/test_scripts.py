@@ -27,14 +27,6 @@ def run_script(name, *args):
     )
 
 
-def test_comb_hierarchy_sweep_agrees_at_every_size():
-    proc = run_script("comb_hierarchy_sweep.py", "--max-n", "3")
-    assert proc.returncode == 0, proc.stderr
-    rows = [line.split() for line in proc.stdout.splitlines()[2:]]
-    assert [row[0] for row in rows] == ["1", "2", "3"]
-    assert all(row[-1] == "yes" for row in rows)
-
-
 def test_inverse_nogo_finds_no_match():
     proc = run_script("inverse_nogo.py")
     assert proc.returncode == 1, proc.stderr
