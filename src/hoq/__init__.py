@@ -6,7 +6,6 @@ from hoq.type_ast import (
     Elementary,
     TypeExpr,
     bar,
-    extend_by,
     factor_dims,
     make_comb,
     parse_type,
@@ -22,7 +21,6 @@ __all__ = [
     "Elementary",
     "TypeExpr",
     "bar",
-    "extend_by",
     "factor_dims",
     "make_comb",
     "parse_type",

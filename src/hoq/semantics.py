@@ -40,8 +40,10 @@ class AlignmentCapExceeded(ValueError):
     """Equivalence would need a permutation search beyond the supported size."""
 
 
-# Bound of the cache on lambda_recursive, keyed by the frozen type node as
-# the Delta cache is (subspace_algebra._DELTA_CACHE_SIZE).
+# Bound of the cache on lambda_recursive.  Like the Delta cache
+# (subspace_algebra._DELTA_CACHE_SIZE) it is keyed by the interned type node,
+# which hashes by identity, and its references keep recurring types alive in
+# the weak tables of type_ast, so their lambda survives between calls.
 _LAMBDA_CACHE_SIZE = 1 << 16
 
 

@@ -20,12 +20,24 @@ one.  The canonical printer emits no whitespace, spells every dimension except
 the trivial one, parenthesizes every arrow that occurs as a subterm and omits
 the outermost pair, e.g. ``(A:2->B:2)->C:2``.  ``parse_type`` and
 ``print_canonical`` are mutually inverse on canonical strings.
+
+Terms are hash-consed: ``Atom``, ``Elementary`` and ``Arrow`` each keep a
+table of their live nodes, and a constructor called with the parts of a
+live node returns that node.  Equal terms are therefore one object, ``==``
+is ``is``, and hashing a node costs O(1) whatever its size, which is what
+the Delta and lambda caches of the other modules key on.  The tables hold
+their nodes weakly, so a type that nothing else references is collected
+and leaves its table.  ``pickle``, ``copy.copy`` and ``copy.deepcopy``
+rebuild through the constructor and so return the interned node.  Nodes
+hash by identity, which differs between runs: no output may depend on the
+order of a set or dict of nodes.  The tables are not locked, so build types
+from one thread at a time.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+import weakref
 from math import prod
 from typing import Sequence, Union
 
@@ -42,11 +54,9 @@ __all__ = [
     "factor_dims",
     "total_dim",
     "type_depth",
-    "extend_by",
     "bar",
     "tensor",
     "make_comb",
-    "k_exponents",
 ]
 
 TRIVIAL_LABEL = "I"
@@ -74,28 +84,99 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Atom:
+class _Ref(weakref.ref):
+    """A weak reference that knows its table key, so its callback can drop
+    the entry (weakref.KeyedRef does the same, but builds in Python)."""
+
+    __slots__ = ("key",)
+
+
+def _dead() -> None:
+    """Stands in for the weak reference of a key that has no entry."""
+
+
+class _Term:
+    """Shared base of the interned type terms.
+
+    Each subclass keeps its own table from a key to a weak reference to the
+    one live node with that key.  A constructor returns that node when there
+    is one (a node is always true, so ``table.get(key, _dead)() or build``
+    builds only on a miss), and only otherwise validates, builds and enters
+    a new node.  An entry leaves the table when its node dies, unless a node
+    rebuilt under the same key has taken its place.  Slot values are passed
+    to ``_enter`` in the order of the subclass's ``__slots__``.
+    """
+
+    __slots__ = ("__weakref__",)
+    _fields: tuple[str, ...]  # the constructor's arguments, for pickle and repr
+
+    def __init_subclass__(cls) -> None:
+        table: dict = {}
+
+        def forget(ref: _Ref) -> None:
+            if table.get(ref.key) is ref:
+                del table[ref.key]
+
+        cls._table, cls._forget = table, staticmethod(forget)
+
+    @classmethod
+    def _enter(cls, key, *values):
+        """Build a node from its slot values and enter it under ``key``."""
+        node = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(node, name, value)
+        ref = cls._table[key] = _Ref(node, cls._forget)
+        ref.key = key
+        return node
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor: the interned node
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Atom(_Term):
     """One elementary system: a label and a Hilbert-space dimension.
 
     The trivial system is exactly ``Atom("I", 1)``; the invariant
     ``dim == 1  <=>  label == "I"`` keeps the canonical printer total
-    (a one-dimensional atom always prints as ``I``).
+    (a one-dimensional atom always prints as ``I``).  The dimension must be
+    an ``int``: a ``bool``, a ``float`` or a numpy integer raises TypeError.
     """
 
-    label: str
-    dim: int = 2
+    __slots__ = ("label", "dim")
+    _fields = ("label", "dim")
 
-    def __post_init__(self) -> None:
-        if not _LABEL.fullmatch(self.label):
-            raise ValueError(f"bad atom label {self.label!r}")
-        if self.dim < 1:
-            raise ValueError(f"atom dimension must be >= 1, got {self.dim}")
-        if (self.dim == 1) != (self.label == TRIVIAL_LABEL):
+    def __new__(cls, label: str, dim: int = 2) -> Atom:
+        # ("I", True) and ("A", 2.0) equal valid keys: check the type first
+        if dim.__class__ is not int:
+            if isinstance(dim, bool) or not isinstance(dim, int):
+                raise TypeError(f"atom dimension must be an int, got {dim!r}")
+            dim = int(dim)
+        key = (label, dim)
+        return cls._table.get(key, _dead)() or cls._build(key)
+
+    @classmethod
+    def _build(cls, key: tuple[str, int]) -> Atom:
+        label, dim = key
+        if not _LABEL.fullmatch(label):
+            raise ValueError(f"bad atom label {label!r}")
+        if dim < 1:
+            raise ValueError(f"atom dimension must be >= 1, got {dim}")
+        if (dim == 1) != (label == TRIVIAL_LABEL):
             raise ValueError(
-                f"label {self.label!r} with dim {self.dim}: dimension 1 is "
-                f"reserved for the trivial label {TRIVIAL_LABEL!r} and vice versa"
+                f"label {label!r} with dim {dim}: dimension 1 is reserved "
+                f"for the trivial label {TRIVIAL_LABEL!r} and vice versa"
             )
+        return cls._enter(key, label, dim)
 
     def __str__(self) -> str:
         if self.dim == 1:
@@ -103,38 +184,51 @@ class Atom:
         return f"{self.label}:{self.dim}"
 
 
-@dataclass(frozen=True)
-class Elementary:
+class Elementary(_Term):
     """An elementary layer: a nonempty group of atoms, written A:2*B:3."""
 
-    atoms: tuple[Atom, ...]
-    dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("atoms", "dims")
+    _fields = ("atoms",)
 
-    def __post_init__(self) -> None:
-        if not self.atoms:
+    def __new__(cls, atoms: Sequence[Atom]) -> Elementary:
+        atoms = tuple(atoms)
+        return cls._table.get(atoms, _dead)() or cls._build(atoms)
+
+    @classmethod
+    def _build(cls, atoms: tuple[Atom, ...]) -> Elementary:
+        if not atoms:
             raise ValueError("elementary type needs at least one atom")
-        object.__setattr__(self, "dims", tuple(a.dim for a in self.atoms))
+        if not all(isinstance(a, Atom) for a in atoms):
+            raise TypeError(f"not a tuple of atoms: {atoms!r}")
+        return cls._enter(atoms, atoms, tuple(a.dim for a in atoms))
 
     def __str__(self) -> str:
         return print_canonical(self)
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(_Term):
     """The map type ``tail -> head``."""
 
-    tail: "TypeExpr"
-    head: "TypeExpr"
-    dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("tail", "head", "dims")
+    _fields = ("tail", "head")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", self.tail.dims + self.head.dims)
+    def __new__(cls, tail: TypeExpr, head: TypeExpr) -> Arrow:
+        key = (tail, head)
+        return cls._table.get(key, _dead)() or cls._build(key)
+
+    @classmethod
+    def _build(cls, key: tuple[TypeExpr, TypeExpr]) -> Arrow:
+        tail, head = key
+        if not (isinstance(tail, _TYPES) and isinstance(head, _TYPES)):
+            raise TypeError(f"not type expressions: {tail!r}, {head!r}")
+        return cls._enter(key, tail, head, tail.dims + head.dims)
 
     def __str__(self) -> str:
         return print_canonical(self)
 
 
 TypeExpr = Union[Elementary, Arrow]
+_TYPES = (Elementary, Arrow)
 
 
 # --------------------------------------------------------------------------
@@ -260,18 +354,6 @@ def type_depth(x: TypeExpr) -> int:
 # --------------------------------------------------------------------------
 
 
-def extend_by(x: TypeExpr, extra: Atom) -> TypeExpr:
-    """Adjoin a bystander system to the innermost output layer.
-
-    For an elementary layer the atom is appended to the group; for an arrow
-    the extension recurses into the head, so the new atom always lands on the
-    final output and is the last factor in print order.
-    """
-    if isinstance(x, Elementary):
-        return Elementary(x.atoms + (extra,))
-    return Arrow(x.tail, extend_by(x.head, extra))
-
-
 def bar(x: TypeExpr) -> TypeExpr:
     """The functional (dual) type ``x -> I``."""
     return Arrow(x, Elementary((Atom(TRIVIAL_LABEL, 1),)))
@@ -295,18 +377,3 @@ def make_comb(bases: Sequence[TypeExpr]) -> TypeExpr:
         expr = Arrow(expr, tooth)
     return expr
 
-
-def k_exponents(x: TypeExpr) -> tuple[int, ...]:
-    """Exponent pattern of the identity-coefficient closed form.
-
-    Returns one bit per atom occurrence (factor order) such that
-    ``prod(d_i ** -k_i) == lambda(x)`` exactly.  Equivalently: in the
-    canonical rendering, k_i = (number of "->" plus "(" strictly to the
-    right of atom i, plus one) mod 2.  Computed structurally: every atom of
-    an elementary layer carries 1; an arrow flips the tail's exponents and
-    keeps the head's.
-    """
-    if isinstance(x, Elementary):
-        return (1,) * len(x.atoms)
-    flipped = tuple(1 - k for k in k_exponents(x.tail))
-    return flipped + k_exponents(x.head)

@@ -1,6 +1,7 @@
 """Small constructors that only the tests need: the identity operator, a
-random density matrix, the partial trace, and the JSON forms of an index set
-and of a matrix file (the package only reads both kinds of file)."""
+random density matrix, the partial trace, the JSON forms of an index set
+and of a matrix file (the package only reads both kinds of file), a type
+with one more output system, and the exponents of the closed form of λ."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import numpy as np
 
 from hoq.choi_numeric import HermOp, matrix_to_json_obj
 from hoq.subspace_algebra import StringSet
+from hoq.type_ast import Arrow, Atom, Elementary, TypeExpr
 
 
 def identity_op(dims: Sequence[int]) -> HermOp:
@@ -54,3 +56,31 @@ def save_matrix(path: str, O: HermOp) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(matrix_to_json_obj(O), fh)
         fh.write("\n")
+
+
+def extend_by(x: TypeExpr, extra: Atom) -> TypeExpr:
+    """Adjoin a bystander system to the innermost output layer.
+
+    For an elementary layer the atom is appended to the group; for an arrow
+    the extension recurses into the head, so the new atom always lands on the
+    final output and is the last factor in print order.
+    """
+    if isinstance(x, Elementary):
+        return Elementary(x.atoms + (extra,))
+    return Arrow(x.tail, extend_by(x.head, extra))
+
+
+def k_exponents(x: TypeExpr) -> tuple[int, ...]:
+    """Exponent pattern of the identity-coefficient closed form.
+
+    Returns one bit per atom occurrence (factor order) such that
+    ``prod(d_i ** -k_i) == lambda(x)`` exactly.  Equivalently: in the
+    canonical rendering, k_i = (number of "->" plus "(" strictly to the
+    right of atom i, plus one) mod 2.  Computed structurally: every atom of
+    an elementary layer carries 1; an arrow flips the tail's exponents and
+    keeps the head's.
+    """
+    if isinstance(x, Elementary):
+        return (1,) * len(x.atoms)
+    flipped = tuple(1 - k for k in k_exponents(x.tail))
+    return flipped + k_exponents(x.head)

@@ -12,7 +12,7 @@ from math import prod
 import numpy as np
 
 from generators import random_type
-from helpers import partial_trace, random_density
+from helpers import extend_by, k_exponents, partial_trace, random_density
 from hoq.choi_numeric import (
     HermOp,
     check_admissible,
@@ -45,9 +45,7 @@ from hoq.type_ast import (
     Atom,
     Elementary,
     bar,
-    extend_by,
     factor_dims,
-    k_exponents,
     make_comb,
     parse_type,
     tensor,

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 import oracles
 from generators import random_type, type_strategy
+from helpers import extend_by, k_exponents
 from hoq.semantics import (
     ALIGNMENT_CAP,
     AlignmentCapExceeded,
@@ -30,7 +31,6 @@ from hoq.type_ast import (
     Elementary,
     bar,
     factor_dims,
-    k_exponents,
     parse_type,
     tensor,
     total_dim,
@@ -288,7 +288,6 @@ def test_extension_lambda_and_index_growth():
     # adjoining a bystander divides lambda by its dimension and padding the
     # index strings with an always-1 bit stays inside the new index set
     from hoq.subspace_algebra import concat
-    from hoq.type_ast import extend_by
 
     for text in ["A:2", "A:2->B:2", "(A:2->B:2)->C:2"]:
         x = parse_type(text)

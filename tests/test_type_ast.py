@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given
 
 from generators import nested_trivial, type_strategy
+from helpers import extend_by, k_exponents
 from hoq import type_ast
 from hoq.type_ast import (
     Atom,
     Elementary,
     ParseError,
     bar,
-    extend_by,
     factor_dims,
-    k_exponents,
     make_comb,
     parse_type,
     print_canonical,
