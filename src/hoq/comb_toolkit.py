@@ -120,10 +120,13 @@ def comb_delta_closed(spec: CombSpec) -> StringSet:
     teeth = _tooth_sets(spec)
 
     def block(kinds: Sequence[str]) -> StringSet:
+        # folded from the right, so the left operand of every concat is one
+        # tooth's set (W, or few strings for a small tooth) and the growing
+        # accumulator is only shifted
         assert len(kinds) == n
         acc = full_sets(0)[0]
-        for tooth, kind in zip(teeth, kinds):
-            acc = concat(acc, tooth[kind])
+        for tooth, kind in zip(reversed(teeth), reversed(kinds)):
+            acc = concat(tooth[kind], acc)
         return acc
 
     terms: list[StringSet] = []

@@ -40,10 +40,11 @@ class AlignmentCapExceeded(ValueError):
     """Equivalence would need a permutation search beyond the supported size."""
 
 
-# Bound of the cache on lambda_recursive.  Like the Delta cache
-# (subspace_algebra._DELTA_CACHE_SIZE) it is keyed by the interned type node,
-# which hashes by identity, and its references keep recurring types alive in
-# the weak tables of type_ast, so their lambda survives between calls.
+# Bound of each of the caches on lambda_recursive and delta_dimension.  Like
+# the Delta cache (subspace_algebra._DELTA_CACHE_SIZE) they are keyed by the
+# interned type node, which hashes by identity, and their references keep
+# recurring types alive in the weak tables of type_ast, so their values
+# survive between calls.
 _LAMBDA_CACHE_SIZE = 1 << 16
 
 
@@ -59,9 +60,14 @@ def lambda_recursive(x: TypeExpr) -> Fraction:
     lam_tail = lambda_recursive(x.tail)
     lam_head = lambda_recursive(x.head)
     d_tail = total_dim(x.tail)
-    return lam_head / (d_tail * lam_tail)
+    # λ_head / (d_tail · λ_tail) as one Fraction, reduced once
+    return Fraction(
+        lam_head.numerator * lam_tail.denominator,
+        lam_head.denominator * d_tail * lam_tail.numerator,
+    )
 
 
+@lru_cache(maxsize=_LAMBDA_CACHE_SIZE)
 def delta_dimension(x: TypeExpr) -> int:
     """Dimension of the fluctuation span of x, without building string sets.
 
@@ -74,6 +80,8 @@ def delta_dimension(x: TypeExpr) -> int:
     d_h and child values a_t, a_h:
 
         a = a_h * (1 + a_t) + d_h**2 * (d_t**2 - 1 - a_t)
+
+    Results are cached per type node.
     """
     if isinstance(x, Elementary):
         return total_dim(x) ** 2 - 1

@@ -19,6 +19,7 @@ from hypothesis import given
 from generators import type_strategy
 from hoq.comb_toolkit import CombSpec, comb_delta_closed
 from hoq.subspace_algebra import (
+    _SPARSE_STRINGS,
     StringSet,
     complement_in_T,
     concat,
@@ -201,6 +202,31 @@ def test_concat_agrees(a, b):
     assert agrees(concat(a[0], b[0]), ref_concat(a[1], b[1]))
 
 
+@st.composite
+def concat_left_operands(draw) -> tuple[StringSet, RefSet]:
+    """A left operand of concat in one of the shapes that pick its method:
+    W, exactly _SPARSE_STRINGS strings (the most shifted one by one), one
+    string more (the least widened as text), or empty."""
+    shape = draw(st.sampled_from(("full", "bound", "above", "empty")))
+    if shape == "full":
+        length = draw(st.integers(0, 8))
+        strings = list(range(1 << length))
+    elif shape == "empty":
+        length = draw(st.integers(0, 8))
+        strings = []
+    else:
+        size = _SPARSE_STRINGS + (shape == "above")
+        length = draw(st.integers(size.bit_length(), 8))  # 2^length > size: not W
+        strings = draw(st.lists(st.integers(0, (1 << length) - 1),
+                                min_size=size, max_size=size, unique=True))
+    return StringSet(length, strings), RefSet(length, frozenset(strings))
+
+
+@given(concat_left_operands(), string_sets(max_length=8))
+def test_concat_methods_agree(a, b):
+    assert agrees(concat(a[0], b[0]), ref_concat(a[1], b[1]))
+
+
 @given(string_sets(), st.data())
 def test_membership_agrees(sets, data):
     J, ref = sets
@@ -252,3 +278,12 @@ def test_comb_closed_form_agrees_with_recursion(base, n):
     assert closed == delta_of_type(spec.derived)
     if closed.length <= 12:
         assert agrees(closed, ref_delta(spec.derived, True))
+
+
+LARGE_COMBS = [("A:2->B:2", 11), ("A:2->B:2", 12), ("(A:2->B:2)->C:2", 8)]
+
+
+@pytest.mark.parametrize("base,n", LARGE_COMBS)
+def test_large_comb_closed_form_agrees_with_recursion(base, n):
+    spec = CombSpec.uniform(parse_type(base), n)
+    assert comb_delta_closed(spec) == delta_of_type(spec.derived)
