@@ -14,6 +14,12 @@ coordinate the identity component vec(I)/sqrt(d) and the rest traceless. A
 0/1 mask keeps the coordinates whose pattern (bit 1 where a factor is at its
 first coordinate) lies in J, and the same reflections map back: cost
 O(side^2 * sum of d^2), with the reflections and mask cached per (dims, J).
+Each reflection is real orthogonal, so the whole change of basis preserves
+the Frobenius norm: the norm of a projection is the norm of the masked
+coordinates, read after the forward pass alone. check_deterministic reads
+its residual outside Delta_x this way, and takes the O(side^3) spectrum only
+for an input already in the affine slice (Hermitian, Tr R / d = lambda_x,
+no component outside Delta_x): only there does the PSD test decide.
 
 Admissibility is certified from both sides. The deterministic events E of
 the dual type x -> I form the slice {Tr E = 1 / lambda_x, no Delta_x
@@ -196,9 +202,10 @@ def apply_inverse_choi(M: HermOp, O: HermOp) -> HermOp:
 @lru_cache(maxsize=32)
 def _block_basis(
     dims: tuple[int, ...], J: StringSet
-) -> tuple[list[int], list[np.ndarray], np.ndarray]:
-    """The axis order pairing each factor's row and column axes, the
-    reflection of each non-trivial pair axis, and the flat mask of J."""
+) -> tuple[list[int], list[int], list[np.ndarray], np.ndarray]:
+    """The axis order pairing each factor's row and column axes, its
+    inverse, the reflection of each non-trivial pair axis, and the mask of J
+    over the paired axes."""
     k = len(dims)
     order = [a for f in range(k) for a in (f, k + f)]
     reflections = []
@@ -211,17 +218,29 @@ def _block_basis(
             reflections.append(np.eye(d * d) - np.outer(v, v) * (2 / (v @ v)))
     bitmap = np.frombuffer(J.bits.to_bytes((1 << k) // 8 + 1, "little"), np.uint8)
     mask = np.unpackbits(bitmap, bitorder="little").astype(bool)[pattern.ravel()]
+    mask = mask.reshape([(dims + dims)[a] for a in order])
     for a in (*reflections, mask):
         a.setflags(write=False)
-    return order, reflections, mask
+    return order, np.argsort(order).tolist(), reflections, mask
 
 
 def _reflect(t: np.ndarray, reflections: list[np.ndarray]) -> np.ndarray:
     """Reflect each pair axis in turn: contract the leading one and append it
-    last, so one pass returns the axes to their order. The result is flat."""
+    last, so one pass returns the axes to their order and shape."""
+    shape = t.shape
     for h in reflections:
         t = t.reshape(h.shape[0], -1).T @ h
-    return t.reshape(-1)
+    return t.reshape(shape)
+
+
+def _block_coordinates(
+    mat: np.ndarray, dims: tuple[int, ...], J: StringSet
+) -> tuple[np.ndarray, np.ndarray]:
+    """The forward half of the projection onto the blocks in J: the
+    coordinates of mat in the reflected basis, over the paired axes, and the
+    mask of the coordinates that lie in J."""
+    order, _, reflections, mask = _block_basis(dims, J)
+    return _reflect(mat.reshape(dims + dims).transpose(order), reflections), mask
 
 
 def _project_delta_matrix(
@@ -232,11 +251,9 @@ def _project_delta_matrix(
     side = mat.shape[0]
     if not J.bits:
         return np.zeros((side, side), dtype=complex)
-    order, reflections, mask = _block_basis(dims, J)
-    t = mat.reshape(dims + dims).transpose(order)
-    paired = t.shape
-    t = _reflect(_reflect(t, reflections) * mask, reflections)
-    return t.reshape(paired).transpose(np.argsort(order)).reshape(side, side)
+    coords, mask = _block_coordinates(mat, dims, J)
+    _, inverse, reflections, _ = _block_basis(dims, J)
+    return _reflect(coords * mask, reflections).transpose(inverse).reshape(side, side)
 
 
 # --------------------------------------------------------------------------
@@ -246,10 +263,16 @@ def _project_delta_matrix(
 
 @dataclass(frozen=True)
 class MembershipReport:
+    """The verdict of check_deterministic and the margins behind it.
+
+    ``min_eigenvalue`` is None when a linear condition (Hermiticity, lambda
+    or the residual outside Delta) already fails, as the spectrum is taken
+    only for inputs in the affine slice; it is a float otherwise."""
+
     verdict: bool
     lambda_measured: float
     lambda_expected: Fraction
-    min_eigenvalue: float
+    min_eigenvalue: Optional[float]
     residual_outside_delta: float
     herm_residual: float
     tolerance: float
@@ -260,28 +283,29 @@ def check_deterministic(
 ) -> MembershipReport:
     """Is R a deterministic event of type x?
 
-    Checks, each within tol: Hermiticity (relative), positive semidefiniteness
-    (min eigenvalue >= -tol), the identity coefficient Tr R / d == lambda_x,
-    and vanishing of the component outside the admissible blocks (relative
-    Frobenius residual over T minus Delta_x at the non-trivial factors).
+    Checks, each within tol: Hermiticity (relative), the identity coefficient
+    Tr R / d == lambda_x, vanishing of the component outside the admissible
+    blocks (relative Frobenius residual over T minus Delta_x at the
+    non-trivial factors) and, only when those linear conditions hold,
+    positive semidefiniteness (min eigenvalue >= -tol).  The report's
+    min_eigenvalue is None when a linear condition fails.
     """
     herm, herm_residual = _hermitian(R, factor_dims(x))
-    eigs = np.linalg.eigvalsh(herm)
-    min_eig = float(eigs[0])
     side = herm.shape[0]
     lam_expected = lambda_recursive(x)
     lam_measured = float(np.trace(herm).real) / side
     delta, nf_dims = delta_normal_form(x)
-    outside = _project_delta_matrix(herm, nf_dims, complement_in_T(delta))
-    residual = _fro(outside) / max(1.0, _fro(eigs))  # ||eigs|| = ||herm||_F
-    verdict = (
+    coords, outside = _block_coordinates(herm, nf_dims, complement_in_T(delta))
+    residual = _fro(coords[outside]) / max(1.0, _fro(herm))
+    min_eig = None
+    if (
         herm_residual <= tol
-        and min_eig >= -tol
         and abs(lam_measured - float(lam_expected)) <= tol
         and residual <= tol
-    )
+    ):
+        min_eig = float(np.linalg.eigvalsh(herm)[0])
     return MembershipReport(
-        verdict=verdict,
+        verdict=min_eig is not None and min_eig >= -tol,
         lambda_measured=lam_measured,
         lambda_expected=lam_expected,
         min_eigenvalue=min_eig,

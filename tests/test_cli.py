@@ -138,6 +138,24 @@ def test_check_det_rejects_wrong_scale(invoke, tmp_path):
     assert payload["lambda_measured"] == pytest.approx(0.25)
 
 
+def test_check_det_takes_the_spectrum_only_inside_the_slice(invoke, tmp_path):
+    # lambda is off, so the spectrum is never taken
+    m = write_matrix(tmp_path / "q.json", (2, 2), 0.25 * np.eye(4))
+    code, out, _ = invoke("check-det", "--type", "A:2->B:2", "--matrix", m)
+    assert code == 1
+    assert '"min_eigenvalue": null' in out
+    assert validated(out, "check-det")["min_eigenvalue"] is None
+    # inside the slice (SZ x SZ is in Delta), but not PSD
+    sz = np.diag([1.0, -1.0])
+    m = write_matrix(tmp_path / "n.json", (2, 2), 0.5 * np.eye(4) + 0.6 * np.kron(sz, sz))
+    code, out, _ = invoke("check-det", "--type", "A:2->B:2", "--matrix", m)
+    assert code == 1
+    payload = validated(out, "check-det")
+    assert payload["verdict"] is False
+    assert payload["residual_outside_delta"] <= 1e-12
+    assert payload["min_eigenvalue"] == pytest.approx(-0.1)
+
+
 def test_check_det_dims_mismatch(invoke, tmp_path):
     m = write_matrix(tmp_path / "u.json", (2, 2), 0.5 * np.eye(4))
     code, out, err = invoke(
