@@ -494,7 +494,7 @@ def sample_deterministic(
     fluct = _project_delta_matrix(g, nf_dims, delta)
     lam = float(lambda_recursive(x))
     eigs = np.linalg.eigvalsh(fluct)
-    op_norm = float(max(abs(eigs[0]), abs(eigs[-1]))) if eigs.size else 0.0
+    op_norm = float(max(abs(eigs[0]), abs(eigs[-1])))
     base = lam * np.eye(side, dtype=complex)
     if op_norm < 1e-14:
         return HermOp(dims, base)

@@ -61,6 +61,14 @@ __all__ = [
 ]
 
 
+def _check_tooth_count(n: int) -> None:
+    if n < 1:
+        raise ValueError("a comb needs at least one tooth")
+    if n > MAX_NESTING:
+        # the comb type nests n levels deep, like a parsed type
+        raise ValueError(f"a comb has at most {MAX_NESTING} teeth, got {n}")
+
+
 @dataclass(frozen=True)
 class CombSpec:
     """An n-comb description: tooth count, tooth types, derived comb type."""
@@ -69,19 +77,14 @@ class CombSpec:
     bases: tuple[TypeExpr, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("a comb needs at least one tooth")
-        if self.n > MAX_NESTING:
-            # the comb type nests n levels deep, like a parsed type
-            raise ValueError(
-                f"a comb has at most {MAX_NESTING} teeth, got {self.n}"
-            )
+        _check_tooth_count(self.n)
         if len(self.bases) != self.n:
             raise ValueError(f"{len(self.bases)} bases for an {self.n}-comb")
         object.__setattr__(self, "bases", tuple(self.bases))
 
     @staticmethod
     def uniform(base: TypeExpr, n: int) -> "CombSpec":
+        _check_tooth_count(n)  # before the teeth are built, n of them
         return CombSpec(n, (base,) * n)
 
     @property

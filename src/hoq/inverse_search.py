@@ -20,6 +20,7 @@ from typing import Callable, Iterator, Optional, Sequence
 from hoq.semantics import delta_dimension, find_alignment, upsilon
 from hoq.subspace_algebra import StringSet, dim_of_delta
 from hoq.type_ast import (
+    TRIVIAL_LABEL,
     Arrow,
     Atom,
     Elementary,
@@ -44,8 +45,9 @@ ENUMERATION_CAP = 2_000_000
 # How often the optional progress callback fires (in examined candidates).
 PROGRESS_STRIDE = 5_000
 
-# "I" is reserved for the trivial layer, so it is not available as a label.
-_LEAF_LABELS = tuple(c for c in ascii_uppercase if c != "I")
+# The trivial label is reserved for the trivial layer, so it is not
+# available as a leaf label.
+_LEAF_LABELS = tuple(c for c in ascii_uppercase if c != TRIVIAL_LABEL)
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -128,14 +130,37 @@ class SearchResult:
         }
 
 
+def _holds_too_many(leaves: int, depth: int) -> bool:
+    """Whether `leaves` leaves overflow a tree of depth `depth`, which holds
+    at most 2^(depth-1) of them; compared by bit length, so a huge depth
+    costs nothing."""
+    return (leaves - 1).bit_length() >= depth
+
+
+def _effective_bounds(spec: SearchSpec) -> tuple[int, int]:
+    """The (trivial leaves, depth) bounds the search actually walks.
+
+    A tree of depth D holds at most 2^(D-1) leaves, one of them a factor
+    block, so more than 2^(D-1) - 1 trivial leaves never fit; and a tree of
+    m leaves is at most m deep, so a depth above the factors plus the
+    trivial leaves reaches no further tree.  Clamping both leaves the
+    candidate set, and its order, as the spec's bounds give it.
+    """
+    trivial = spec.max_trivial_leaves
+    if _holds_too_many(trivial + 1, spec.max_depth):
+        # here max_depth is at most the bit length of max_trivial_leaves
+        trivial = (1 << (spec.max_depth - 1)) - 1
+    return trivial, min(spec.max_depth, len(spec.dims) + trivial)
+
+
 @cache
 def _tree_count(blocks: int, trivial: int, depth: int) -> int:
     """How many trees _trees_over builds over `blocks` distinguishable leaves
     and `trivial` identical ones within depth `depth`: its splits, counted."""
     if blocks + trivial == 1:
         return 1 if depth >= 1 else 0
-    if depth < 2 or blocks + trivial > 1 << (depth - 1):
-        return 0  # a tree of depth D holds at most 2^(D-1) leaves
+    if depth < 2 or _holds_too_many(blocks + trivial, depth):
+        return 0
     return sum(
         comb(blocks, k)
         * _tree_count(k, ts, depth - 1)
@@ -170,11 +195,12 @@ def estimate_candidates(spec: SearchSpec) -> int:
     cap but not the exact count.
     """
     n = len(spec.dims)
+    max_trivial, max_depth = _effective_bounds(spec)
     total = 0
-    for k in range(spec.max_trivial_leaves + 1):
+    for k in range(max_trivial + 1):
         for blocks in range(1, n + 1):
             total += _partition_count(n, blocks) * _tree_count(
-                blocks, k, spec.max_depth
+                blocks, k, max_depth
             )
             if total > ENUMERATION_CAP:
                 return total
@@ -206,13 +232,13 @@ def _trees_over(
     (mask, trivial count, depth budget), and an arrow splits both between
     tail and head in every way but an empty side.  The budget is at least 1.
     """
-    trivial = Elementary((Atom("I", 1),))
+    trivial = Elementary((Atom(TRIVIAL_LABEL, 1),))
 
     @cache
     def build(mask: int, t: int, budget: int) -> tuple[TypeExpr, ...]:
         leaves = mask.bit_count() + t
-        if leaves > 1 << (budget - 1):
-            return ()  # a tree of depth D holds at most 2^(D-1) leaves
+        if _holds_too_many(leaves, budget):
+            return ()
         if leaves == 1:
             return (blocks[mask.bit_length() - 1] if mask else trivial,)
         out: list[TypeExpr] = []
@@ -245,13 +271,14 @@ def enumerate_types(spec: SearchSpec) -> Iterator[TypeExpr]:
         raise EnumerationCapExceeded(
             f"{count} candidates exceed the cap {ENUMERATION_CAP}"
         )
+    max_trivial, max_depth = _effective_bounds(spec)
     atoms = [Atom(_LEAF_LABELS[i], d) for i, d in enumerate(spec.dims)]
     for part in _set_partitions(range(len(atoms))):
         blocks = [
             Elementary(tuple(atoms[i] for i in sorted(block))) for block in part
         ]
         blocks.sort(key=print_canonical)
-        yield from _trees_over(blocks, spec.max_trivial_leaves, spec.max_depth)
+        yield from _trees_over(blocks, max_trivial, max_depth)
 
 
 def inverse_search(

@@ -622,6 +622,55 @@ def test_comb_teeth_are_bounded_by_the_nesting_limit(invoke):
     validated(out, "comb", "lambda")
 
 
+def test_comb_teeth_are_refused_before_they_are_built():
+    # a trillion teeth would not fit in memory, so the count is refused first
+    proc = python_with_src(
+        ["-m", "hoq.cli", "comb", "lambda", "--base", "A:2->B:2",
+         "--n", "1000000000000"],
+        timeout=10, preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "at most 100 teeth, got 1000000000000" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "huge, enough",
+    [
+        # a tree of m leaves is at most m deep: 2 factors + 2 trivial leaves
+        (["--max-depth", "1000000000000", "--trivial-leaves", "2"],
+         ["--max-depth", "4", "--trivial-leaves", "2"]),
+        # a tree of depth 3 holds 4 leaves, one of them a factor block
+        (["--max-depth", "3", "--trivial-leaves", "1000000000000"],
+         ["--max-depth", "3", "--trivial-leaves", "3"]),
+    ],
+    ids=["depth", "trivial-leaves"],
+)
+def test_inverse_bounds_past_what_a_tree_holds(invoke, tmp_path, huge, enough):
+    d = write_index_set(tmp_path / "t.json", (2, 2), ["00"])
+    argv = ["inverse", "--dims", "2,2", "--delta", d]
+    code, expected, _ = invoke(*argv, *enough)
+    assert code == 1
+    proc = python_with_src(
+        ["-m", "hoq.cli", *argv, *huge], timeout=10,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == expected
+
+
+def test_inverse_huge_bounds_on_both_axes_exit_3(tmp_path):
+    d = write_index_set(tmp_path / "t.json", (2,), [])
+    proc = python_with_src(
+        ["-m", "hoq.cli", "inverse", "--dims", "2", "--delta", d,
+         "--max-depth", "1000000000000", "--trivial-leaves", "1000000000000"],
+        timeout=10, preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "matches": [], "exhausted": False, "pruned_count": 0
+    }
+
+
 _WITHOUT_NUMPY = """
 import contextlib, io, json, sys
 if sys.argv[2] == "preload":

@@ -27,13 +27,6 @@ def run_script(name, *args):
     )
 
 
-def test_inverse_nogo_finds_no_match():
-    proc = run_script("inverse_nogo.py")
-    assert proc.returncode == 1, proc.stderr
-    assert "no matches" in proc.stdout
-    assert "exhausted: True" in proc.stdout
-
-
 def test_nonsignalling_demo_runs():
     proc = run_script("nonsignalling_demo.py", "--samples", "100", "--iterations", "50")
     assert proc.returncode == 0, proc.stderr
