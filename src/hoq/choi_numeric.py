@@ -76,8 +76,6 @@ __all__ = [
     "sample_deterministic",
     "oracle_deterministic",
     "max_admissible_scale",
-    "random_channel_choi",
-    "choi_from_kraus",
     "matrix_to_json_obj",
     "matrix_from_json_obj",
     "load_matrix",
@@ -514,7 +512,8 @@ def oracle_deterministic(
     Independent of the block characterization of the arrow type itself: M
     must be Hermitian and PSD within tol, and the induced map must carry
     sampled deterministic inputs of type x (plus lambda_x I itself) to
-    operators passing check_deterministic for y.
+    operators passing check_deterministic for y. Probes are drawn one at a
+    time, lambda_x I first, and the first one that fails ends the test.
     """
     if samples < 0:
         raise ValueError(f"samples must be at least 0, got {samples}")
@@ -524,19 +523,21 @@ def oracle_deterministic(
     if herm_residual > tol or float(np.linalg.eigvalsh(herm)[0]) < -tol:
         return False
     choi = HermOp(dims, herm)
-    lam_x = float(lambda_recursive(x))
-    side_x = prod(factor_dims(x))
-    probes = [HermOp(factor_dims(x), lam_x * np.eye(side_x, dtype=complex))]
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        probe_seed = int(rng.integers(0, 2**63 - 1))
-        spread = float(rng.uniform(0.1, 1.0))
-        probes.append(sample_deterministic(x, seed=probe_seed, spread=spread))
-    for probe in probes:
-        image = apply_inverse_choi(choi, probe)
-        if not check_deterministic(image, y, tol=tol).verdict:
-            return False
-    return True
+
+    def probes():
+        dims_x = factor_dims(x)
+        lam_x = float(lambda_recursive(x))
+        yield HermOp(dims_x, lam_x * np.eye(prod(dims_x), dtype=complex))
+        rng = np.random.default_rng(seed)
+        for _ in range(samples):
+            probe_seed = int(rng.integers(0, 2**63 - 1))
+            spread = float(rng.uniform(0.1, 1.0))
+            yield sample_deterministic(x, seed=probe_seed, spread=spread)
+
+    return all(
+        check_deterministic(apply_inverse_choi(choi, probe), y, tol=tol).verdict
+        for probe in probes()
+    )
 
 
 def max_admissible_scale(
@@ -592,34 +593,6 @@ def max_admissible_scale(
             break  # the next probe would repeat this one
         mu = (lo + hi) / 2
     return lo
-
-
-# --------------------------------------------------------------------------
-# random operators
-# --------------------------------------------------------------------------
-
-
-def choi_from_kraus(kraus: Sequence[np.ndarray]) -> HermOp:
-    """Choi matrix (input factor first) of the channel with given Kraus ops."""
-    ks = np.asarray(kraus, dtype=complex)
-    if ks.ndim != 3:
-        raise ValueError("expected a stack of Kraus matrices")
-    _, d_out, d_in = ks.shape
-    choi = np.einsum("kai,kbj->iajb", ks, ks.conj())
-    side = d_in * d_out
-    return HermOp((d_in, d_out), choi.reshape(side, side))
-
-
-def random_channel_choi(d_in: int, d_out: int, rng: np.random.Generator) -> HermOp:
-    """Choi matrix of a Haar-ish random channel with d_in * d_out Kraus ops."""
-    n = d_in * d_out
-    g = rng.standard_normal((n, d_out, d_in)) + 1j * rng.standard_normal(
-        (n, d_out, d_in)
-    )
-    s = np.einsum("kai,kaj->ij", g.conj(), g)
-    vals, vecs = np.linalg.eigh(s)
-    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    return choi_from_kraus(g @ inv_sqrt)
 
 
 # --------------------------------------------------------------------------

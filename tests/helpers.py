@@ -1,5 +1,6 @@
 """Small constructors that only the tests need: the identity operator, a
-random density matrix, the partial trace, the JSON forms of an index set
+random density matrix, the Choi matrix of a channel from its Kraus operators
+and of a random channel, the partial trace, the JSON forms of an index set
 and of a matrix file (the package only reads both kinds of file), a type
 with one more output system, and the exponents of the closed form of λ."""
 
@@ -25,6 +26,29 @@ def random_density(d: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def choi_from_kraus(kraus: Sequence[np.ndarray]) -> HermOp:
+    """Choi matrix (input factor first) of the channel with given Kraus ops."""
+    ks = np.asarray(kraus, dtype=complex)
+    if ks.ndim != 3:
+        raise ValueError("expected a stack of Kraus matrices")
+    _, d_out, d_in = ks.shape
+    choi = np.einsum("kai,kbj->iajb", ks, ks.conj())
+    side = d_in * d_out
+    return HermOp((d_in, d_out), choi.reshape(side, side))
+
+
+def random_channel_choi(d_in: int, d_out: int, rng: np.random.Generator) -> HermOp:
+    """Choi matrix of a Haar-ish random channel with d_in * d_out Kraus ops."""
+    n = d_in * d_out
+    g = rng.standard_normal((n, d_out, d_in)) + 1j * rng.standard_normal(
+        (n, d_out, d_in)
+    )
+    s = np.einsum("kai,kaj->ij", g.conj(), g)
+    vals, vecs = np.linalg.eigh(s)
+    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    return choi_from_kraus(g @ inv_sqrt)
 
 
 def partial_trace(O: HermOp, positions: Sequence[int]) -> HermOp:

@@ -137,6 +137,14 @@ def hull(x: TypeExpr) -> tuple[np.ndarray, np.ndarray]:
     return offset, dirs
 
 
+def hull_residual(mat: np.ndarray, x: TypeExpr) -> float:
+    """Frobenius distance from mat to the affine hull of type x."""
+    offset, dirs = hull(x)
+    diff = mat - offset
+    coeffs = np.real(np.einsum("kji,ji->k", dirs.conj(), diff))
+    return float(np.linalg.norm(diff - np.einsum("k,kij->ij", coeffs, dirs)))
+
+
 def _factor_identity_part(X: np.ndarray, dims: tuple[int, ...], i: int) -> np.ndarray:
     """Conditional expectation onto identity on factor i."""
     k = len(dims)

@@ -12,14 +12,19 @@ from math import prod
 import numpy as np
 
 from generators import random_type
-from helpers import extend_by, k_exponents, partial_trace, random_density
+from helpers import (
+    choi_from_kraus,
+    extend_by,
+    k_exponents,
+    partial_trace,
+    random_channel_choi,
+    random_density,
+)
 from hoq.choi_numeric import (
     HermOp,
     check_admissible,
     check_deterministic,
-    choi_from_kraus,
     max_admissible_scale,
-    random_channel_choi,
     reorder_factors,
     sample_deterministic,
 )

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 import oracles
 from generators import type_strategy
-from helpers import identity_op, partial_trace, random_density, save_matrix
+from helpers import (
+    choi_from_kraus,
+    identity_op,
+    partial_trace,
+    random_channel_choi,
+    random_density,
+    save_matrix,
+)
 from hoq import choi_numeric
 from hoq.choi_numeric import (
     DEFAULT_FEAS_TOL,
@@ -17,13 +24,11 @@ from hoq.choi_numeric import (
     apply_inverse_choi,
     check_admissible,
     check_deterministic,
-    choi_from_kraus,
     load_matrix,
     matrix_from_json_obj,
     matrix_to_json_obj,
     max_admissible_scale,
     oracle_deterministic,
-    random_channel_choi,
     reorder_factors,
     sample_deterministic,
 )
@@ -35,6 +40,7 @@ from hoq.subspace_algebra import (
     perp_in_W,
 )
 from hoq.type_ast import bar, factor_dims, make_comb, parse_type, tensor, total_dim
+from oracles import hull_residual
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -474,6 +480,28 @@ def test_oracle_rejects_non_psd():
     assert not oracle_deterministic(mat, x, y)
 
 
+def test_oracle_draws_no_probe_after_the_first_failure(monkeypatch, nprng):
+    drawn = []
+    sample = choi_numeric.sample_deterministic
+
+    def counted(x, seed, spread):
+        drawn.append((seed, spread))
+        return sample(x, seed=seed, spread=spread)
+
+    monkeypatch.setattr(choi_numeric, "sample_deterministic", counted)
+    x, y = parse_type("A:2"), parse_type("B:2")
+    channel = random_channel_choi(2, 2, nprng).matrix
+    # lambda_x I already maps half a channel to trace 1/2
+    assert not oracle_deterministic(0.5 * channel, x, y, samples=50)
+    assert drawn == []
+    assert oracle_deterministic(channel, x, y, samples=50, seed=3)
+    rng = np.random.default_rng(3)
+    assert drawn == [
+        (int(rng.integers(0, 2**63 - 1)), float(rng.uniform(0.1, 1.0)))
+        for _ in range(50)
+    ]
+
+
 # -- matrix files ----------------------------------------------------------
 
 
@@ -530,14 +558,6 @@ def test_sides_above_the_limit_are_refused_before_allocating():
 
 
 # -- admissibility certificates, pinned against the definitional hull --------
-
-
-def hull_residual(mat, x):
-    """Frobenius distance from mat to the affine hull oracles.hull(x)."""
-    offset, dirs = oracles.hull(x)
-    diff = mat - offset
-    coeffs = np.real(np.einsum("kji,ji->k", dirs.conj(), diff))
-    return float(np.linalg.norm(diff - np.einsum("k,kij->ij", coeffs, dirs)))
 
 
 CERTIFICATE_TYPES = ["A:2->I", "A:3", "A:2->B:2", "(A:2->B:2)->C:2", "A:2*B:2->C:2"]

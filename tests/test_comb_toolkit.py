@@ -9,10 +9,10 @@ import pytest
 
 import oracles
 from comb_routes import comb_arrow_delta, comb_tensor_delta
+from helpers import random_channel_choi
 from hoq.choi_numeric import (
     HermOp,
     check_deterministic,
-    random_channel_choi,
     reorder_factors,
     sample_deterministic,
 )
