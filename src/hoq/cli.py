@@ -29,15 +29,13 @@ from typing import Optional, Sequence
 
 from hoq.comb_toolkit import (
     CombSpec,
-    check_comb_normalization,
-    comb_delta_closed,
+    _channel_slots,
     comb_equiv_permutation,
-    comb_lambda_closed,
     expand_slot_perm,
 )
 from hoq.inverse_search import SearchSpec, inverse_search
-from hoq.semantics import check_equiv, delta_dimension, upsilon
-from hoq.subspace_algebra import from_json_obj
+from hoq.semantics import check_equiv, delta_dimension, lambda_recursive, upsilon
+from hoq.subspace_algebra import delta_of_type, from_json_obj
 from hoq.tolerances import DEFAULT_FEAS_TOL, DEFAULT_MAX_ITER, DEFAULT_TOL
 from hoq.type_ast import (
     Arrow,
@@ -276,42 +274,42 @@ def _cmd_oracle_det(args: argparse.Namespace) -> tuple[dict, int]:
 def _cmd_comb(args: argparse.Namespace) -> tuple[dict, int]:
     base = parse_type(args.base)
     spec = CombSpec.uniform(base, args.n)
+    comb = spec.derived
     if args.mode == "delta":
-        delta = comb_delta_closed(spec)
         payload = {
-            "type": print_canonical(spec.derived),
-            "strings": delta.as_bitstrings(),
-            "dims": list(factor_dims(spec.derived)),
+            "type": print_canonical(comb),
+            "strings": delta_of_type(comb).as_bitstrings(),
+            "dims": list(factor_dims(comb)),
         }
         return payload, 0
     if args.mode == "lambda":
-        payload = {
-            "type": print_canonical(spec.derived),
-            "lambda": str(comb_lambda_closed(spec)),
-        }
-        return payload, 0
+        return {"type": print_canonical(comb), "lambda": str(lambda_recursive(comb))}, 0
     if args.mode == "norm":
         if args.matrix is None:
             raise ValueError("comb norm needs --matrix")
-        from hoq.choi_numeric import load_matrix
-
-        op = load_matrix(args.matrix)
-        ok = check_comb_normalization(op, spec, tol=args.tol)
-        return {"verdict": ok, "tolerance": args.tol}, 0 if ok else 1
-    # equiv-perm
-    tooth_perm = comb_equiv_permutation(args.n)
-    if not isinstance(base, Arrow):
+        _channel_slots(spec)  # refuses teeth that are not channel-shaped
+    elif not isinstance(base, Arrow):
         raise ValueError("comb equiv-perm needs an arrow-shaped base")
-    sizes: list[int] = []
-    for tooth in spec.bases:
-        sizes.append(len(factor_dims(tooth.tail)))
-        sizes.append(len(factor_dims(tooth.head)))
-    payload = {
-        "n": args.n,
-        "tooth_permutation": list(tooth_perm),
-        "factor_permutation": list(expand_slot_perm(tooth_perm, sizes)),
-    }
-    return payload, 0
+    tooth_perm = comb_equiv_permutation(args.n)
+    sizes = [len(factor_dims(base.tail)), len(factor_dims(base.head))] * args.n
+    perm = expand_slot_perm(tooth_perm, sizes)
+    if args.mode == "equiv-perm":
+        payload = {
+            "n": args.n,
+            "tooth_permutation": list(tooth_perm),
+            "factor_permutation": list(perm),
+        }
+        return payload, 0
+    from hoq.choi_numeric import HermOp, check_deterministic, load_matrix
+    from hoq.choi_numeric import reorder_factors
+
+    # The file carries the two-sided layout (A_n, .., A_1, B_1, .., B_n); its
+    # own dims are not read, only its side is checked against the teeth.
+    two_sided = tuple(factor_dims(comb)[p] for p in perm)
+    op = HermOp(two_sided, load_matrix(args.matrix).matrix)
+    back = sorted(range(len(perm)), key=perm.__getitem__)
+    ok = check_deterministic(reorder_factors(op, back), comb, tol=args.tol).verdict
+    return {"verdict": ok, "tolerance": args.tol}, 0 if ok else 1
 
 
 def _cmd_inverse(args: argparse.Namespace) -> tuple[dict, int]:

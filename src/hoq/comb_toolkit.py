@@ -1,16 +1,17 @@
-"""Left-nested map hierarchies (combs): closed forms, two-sided layout and
-normalization.
+"""Left-nested map hierarchies (combs): two-sided layout, random networks
+and closed-form reference routes.
 
 An n-comb over teeth x_1 .. x_n is the type ((..(x_1 -> x_2) ..) -> x_n),
-with 1 <= n <= MAX_NESTING.  The closed forms for its scale and index set
-hold for any teeth, teeth of different shapes included.  For channel-shaped
-teeth A_i -> B_i the comb is equivalent to the elementary-layer chain
-E_1 .. E_2n with E_i = A_{n-i+1} for i <= n and E_i = B_{i-n} above, i.e.
-the familiar two-sided layout (A_n, .., A_1, B_1, .., B_n); the permutation
-realizing the equivalence comes from comb_equiv_permutation.
+with 1 <= n <= MAX_NESTING.  For channel-shaped teeth A_i -> B_i the comb is
+equivalent to the elementary-layer chain E_1 .. E_2n with E_i = A_{n-i+1}
+for i <= n and E_i = B_{i-n} above, i.e. the two-sided layout (A_n, .., A_1,
+B_1, .., B_n) that comb_equiv_permutation realizes.
 
-Only check_comb_normalization and random_comb_choi use numpy; they import it
-when called, so the exact closed forms load without it.
+The closed forms for the scale and index set (any teeth) and the telescoping
+check_comb_normalization are reference routes, independent of the recursion
+and check_deterministic by which the package answers; the tests and
+perfbench/ compare the two.  check_comb_normalization and random_comb_choi
+import numpy when called, so the closed forms load without it.
 """
 
 from __future__ import annotations
@@ -114,8 +115,8 @@ def _tooth_sets(spec: CombSpec) -> list[dict[str, StringSet]]:
 def comb_delta_closed(spec: CombSpec) -> StringSet:
     """Index set of the n-comb by the closed union formula (full positions).
 
-    Agrees with delta_of_type(spec.derived); the two routes are independent
-    and tested against each other.  A comb over more than MAX_FACTORS
+    A reference route for delta_of_type(spec.derived), independent of it and
+    checked against it by the tests.  A comb over more than MAX_FACTORS
     positions raises CapacityError before any block is built.
     """
     _refuse_beyond_capacity(len(factor_dims(spec.derived)), "factor positions")
@@ -157,7 +158,7 @@ def comb_delta_closed(spec: CombSpec) -> StringSet:
 
 
 def comb_lambda_closed(spec: CombSpec) -> Fraction:
-    """Identity coefficient of the n-comb by the closed product formula."""
+    """Reference route: the n-comb's identity coefficient in closed form."""
     lam = [lambda_recursive(b) for b in spec.bases]  # 0-indexed teeth
     dim = [total_dim(b) for b in spec.bases]
     n = spec.n
@@ -223,7 +224,7 @@ def _channel_slots(spec: CombSpec) -> tuple[list[int], list[int]]:
 def check_comb_normalization(
     R: HermOp, spec: CombSpec, tol: float = 1e-9
 ) -> bool:
-    """Telescoping normalization test in the two-sided layout.
+    """Reference route: the telescoping normalization test, two-sided layout.
 
     ``R`` must already carry the layout (A_n, .., A_1, B_1, .., B_n) — i.e.
     reorder_factors(comb-layout operator, expanded comb_equiv_permutation(n)).

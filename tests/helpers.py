@@ -77,9 +77,9 @@ def to_json_obj(J: StringSet, dims: Sequence[int]) -> dict:
 
 
 def save_matrix(path: str, O: HermOp) -> None:
+    # json.dumps encodes in C; json.dump streams through the Python encoder
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_json_obj(O), fh)
-        fh.write("\n")
+        fh.write(json.dumps(matrix_to_json_obj(O)) + "\n")
 
 
 def extend_by(x: TypeExpr, extra: Atom) -> TypeExpr:

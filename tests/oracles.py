@@ -22,6 +22,7 @@ Run directly to print the frozen table:
 from __future__ import annotations
 
 import sys
+from functools import lru_cache
 from math import prod
 
 import numpy as np
@@ -62,66 +63,62 @@ def herm_basis(d: int) -> np.ndarray:
 
 
 def _coords(X: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Real HS coordinates of a Hermitian X in an orthonormal basis."""
-    return np.real(np.einsum("kji,ji->k", basis.conj(), X))
+    """Real HS coordinates of Hermitian X (or a stack of them, on the last two
+    axes) in an orthonormal basis, on the last axis."""
+    return np.real(np.einsum("kji,...ji->...k", basis.conj(), X))
 
 
-def _apply_choi(M: np.ndarray, A: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
-    """Image of A under the map whose Choi matrix (input factor first) is M."""
-    t = M.reshape(d_in, d_out, d_in, d_out)
-    return np.einsum("mi,mjil->jl", A, t)
+def _combine(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The matrices sum_c coeffs[.., c] basis[c], by one matrix product."""
+    flat = coeffs @ basis.reshape(len(basis), -1)
+    return flat.reshape(coeffs.shape[:-1] + basis.shape[1:])
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=None)
 def hull(x: TypeExpr) -> tuple[np.ndarray, np.ndarray]:
     """Affine hull of the deterministic events: (offset, directions).
 
     The directions array has shape (k, d, d) and is orthonormal in HS inner
     product; the offset is one particular hull member candidate (the
-    least-squares solution of the defining linear conditions).
+    least-squares solution of the defining linear conditions).  Cached per
+    (interned) type; both arrays are read-only.
     """
     d = total_dim(x)
+    basis = herm_basis(d)
     if isinstance(x, Elementary):
         offset = np.eye(d, dtype=complex) / d
-        basis = herm_basis(d)
         # all traceless directions: drop the identity component
         eye_coords = _coords(np.eye(d, dtype=complex) / np.sqrt(d), basis)
-        stack = []
-        for vec in np.eye(d * d):
-            vec = vec - np.dot(vec, eye_coords) * eye_coords
-            stack.append(vec)
-        u, s, vh = np.linalg.svd(np.array(stack))
+        u, s, vh = np.linalg.svd(np.eye(d * d) - np.outer(eye_coords, eye_coords))
         keep = vh[: int((s > RANK_TOL).sum())]
-        dirs = np.einsum("kc,cij->kij", keep, basis)
-        return offset, dirs
+        return _frozen(offset, _combine(keep, basis))
     off_t, dirs_t = hull(x.tail)
     off_h, dirs_h = hull(x.head)
     d_t, d_h = total_dim(x.tail), total_dim(x.head)
-    basis = herm_basis(d)
     basis_h = herm_basis(d_h)
     # orthonormal basis of the complement of span(dirs_h) inside Herm(d_h)
     if len(dirs_h):
-        coords_h = np.array([_coords(v, basis_h) for v in dirs_h])
-        u, s, vh = np.linalg.svd(coords_h)
-        rank = int((s > RANK_TOL).sum())
-        comp = vh[rank:]
+        u, s, vh = np.linalg.svd(_coords(dirs_h, basis_h))
+        comp = vh[int((s > RANK_TOL).sum()) :]
     else:
         comp = np.eye(d_h * d_h)
-    inputs = [off_t] + list(dirs_t)
-    rows = []
-    rhs = []
-    for idx, a in enumerate(inputs):
-        # linear map: coords(M) -> complement-coords of image of a
-        block = np.empty((comp.shape[0], d * d))
-        for k, B in enumerate(basis):
-            img = _apply_choi(B, a, d_t, d_h)
-            block[:, k] = comp @ _coords(img, basis_h)
-        rows.append(block)
-        if idx == 0:
-            rhs.append(comp @ _coords(off_h, basis_h))
-        else:
-            rhs.append(np.zeros(comp.shape[0]))
-    A = np.vstack(rows)
-    b = np.concatenate(rhs)
+    inputs = np.concatenate([off_t[None], dirs_t])
+    # linear map per input a: coords(M) -> complement-coords of the image of
+    # a under the map with Choi matrix M (input factor first), for every
+    # basis matrix M at once
+    images = np.einsum(
+        "ami,kmjil->akjl", inputs, basis.reshape(-1, d_t, d_h, d_t, d_h)
+    )
+    blocks = np.einsum("rc,akc->ark", comp, _coords(images, basis_h))
+    A = blocks.reshape(-1, d * d)
+    b = np.zeros(A.shape[0])
+    b[: comp.shape[0]] = comp @ _coords(off_h, basis_h)
     sol, *_ = np.linalg.lstsq(A, b, rcond=None)
     resid = float(np.linalg.norm(A @ sol - b))
     if resid > 1e-6:
@@ -131,10 +128,7 @@ def hull(x: TypeExpr) -> tuple[np.ndarray, np.ndarray]:
         )
     u, s, vh = np.linalg.svd(A)
     rank = int((s > RANK_TOL * (s[0] if len(s) else 1.0)).sum())
-    null = vh[rank:]
-    offset = np.einsum("c,cij->ij", sol, basis)
-    dirs = np.einsum("kc,cij->kij", null, basis)
-    return offset, dirs
+    return _frozen(_combine(sol, basis), _combine(vh[rank:], basis))
 
 
 def hull_residual(mat: np.ndarray, x: TypeExpr) -> float:

@@ -14,10 +14,18 @@ import pytest
 
 import hoq
 from generators import nested_trivial
-from hoq import cli, type_ast
+from hoq import cli, comb_toolkit, type_ast
 from helpers import save_matrix
-from hoq.choi_numeric import HermOp
+from hoq.choi_numeric import HermOp, check_deterministic, reorder_factors
 from hoq.cli import load_schema, run, schema_name
+from hoq.comb_toolkit import (
+    CombSpec,
+    check_comb_normalization,
+    comb_equiv_permutation,
+    expand_slot_perm,
+    random_comb_choi,
+)
+from hoq.type_ast import parse_type
 
 
 @pytest.fixture
@@ -307,6 +315,68 @@ def test_comb_equiv_perm(invoke):
     assert payload["factor_permutation"] == [3, 4, 0, 1, 2, 5]
     code, _, err = invoke("comb", "equiv-perm", "--base", "A:2", "--n", "2")
     assert code == 2 and "error:" in err
+
+
+def test_comb_answers_without_the_closed_forms(invoke, tmp_path, monkeypatch):
+    # the closed forms are reference routes only: comb answers from the
+    # recursion and from check_deterministic
+    def refuse(*args, **kwargs):
+        raise AssertionError("comb called a closed-form route")
+
+    for name in ("comb_delta_closed", "comb_lambda_closed", "check_comb_normalization"):
+        for module in (comb_toolkit, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    m = write_matrix(tmp_path / "u.json", (2, 2, 2, 2), 0.25 * np.eye(16))
+    teeth = ("--base", "A:2->B:2", "--n", "2")
+    code, out, _ = invoke("comb", "delta", *teeth)
+    assert code == 0 and validated(out, "comb", "delta")["strings"]
+    code, out, _ = invoke("comb", "lambda", *teeth)
+    assert code == 0 and validated(out, "comb", "lambda")["lambda"] == "1/4"
+    code, out, _ = invoke("comb", "norm", *teeth, "--matrix", m)
+    assert code == 0 and validated(out, "comb", "norm")["verdict"] is True
+
+
+_NORM_EPS = [10.0**-k for k in range(6, 12)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("tooth", ["A:2->B:2", "A:2->B:3", "A:3->B:2"])
+def test_comb_norm_tolerance_is_check_dets(invoke, tmp_path, tooth, n):
+    # comb norm decides as check-det does on the comb-ordered matrix: lambda
+    # per unit trace, the residual outside Delta relative to max(1, ||R||_F)
+    # and min eigenvalue >= -tol.  The telescoping route agrees away from
+    # the tolerance edge; near it only the telescoping route rejects.
+    spec = CombSpec.uniform(parse_type(tooth), n)
+    r = random_comb_choi(spec, np.random.default_rng(7))
+    perm = expand_slot_perm(comb_equiv_permutation(n), [1, 1] * n)
+    back = sorted(range(2 * n), key=perm.__getitem__)
+    first = np.zeros(r.dims[0])
+    first[:2] = 1, -1
+    tilt = np.kron(np.diag(first), np.eye(r.side // r.dims[0]))
+    tilt /= np.linalg.norm(tilt)  # traceless on the first wire, unit norm
+    inputs = [(0.0, r.matrix)]
+    for eps in _NORM_EPS:
+        inputs += [
+            (eps, (1 + eps) * r.matrix),
+            (eps, r.matrix + eps * tilt),
+            (eps, r.matrix + eps * np.eye(r.side)),
+        ]
+    for i, (eps, matrix) in enumerate(inputs):
+        m = write_matrix(tmp_path / f"{i}.json", r.dims, matrix)
+        code, out, _ = invoke(
+            "comb", "norm", "--base", tooth, "--n", str(n), "--matrix", m
+        )
+        verdict = validated(out, "comb", "norm")["verdict"]
+        op = HermOp(r.dims, matrix)
+        det = check_deterministic(reorder_factors(op, back), spec.derived)
+        assert (verdict, code) == (det.verdict, 0 if det.verdict else 1), i
+        telescoping = check_comb_normalization(op, spec)
+        assert verdict or not telescoping, i
+        if eps >= 1e-7:
+            assert not verdict and not telescoping, i
+        if eps <= 1e-10:
+            assert verdict and telescoping, i
 
 
 # -- inverse subcommand ------------------------------------------------------------

@@ -43,6 +43,10 @@ def test_claims_hold(obj, claim):
         block = block_project(obj.matrix, obj.dims, claim.outside)
         expected = np.linalg.norm(block) / np.linalg.norm(obj.matrix)
         assert report.residual_outside_delta == pytest.approx(expected, abs=1e-12)
+        # the same distance, unscaled, from the definitional hull
+        scale = max(1.0, np.linalg.norm(mat))
+        distance = report.residual_outside_delta * scale
+        assert hull_residual(mat, claim.type) == pytest.approx(distance, abs=1e-12)
 
 
 # -- the PR box and the CHSH certificate -------------------------------------
