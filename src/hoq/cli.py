@@ -12,9 +12,11 @@ branch without parsing:
 Output is byte-identical across runs for a fixed argv and seed.  JSON
 payloads validate against the schemas shipped in hoq/schemas/.
 
-Only the numeric subcommands (check-det, check-adm, sample-det, oracle-det
-and comb norm) import hoq.choi_numeric, and with it numpy, in their
-handlers; the exact ones start without numpy.
+Each handler imports the modules it runs; this module itself loads only
+argparse, json, hoq.tolerances and hoq.type_ast.  So parse runs on those
+alone, no exact subcommand loads numpy or dataclasses, only comb norm and
+comb equiv-perm load hoq.comb_toolkit, and only inverse loads
+hoq.inverse_search.
 """
 
 from __future__ import annotations
@@ -23,29 +25,23 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
-from importlib import resources
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from hoq.comb_toolkit import (
-    CombSpec,
-    _channel_slots,
-    comb_equiv_permutation,
-    expand_slot_perm,
-)
-from hoq.inverse_search import SearchSpec, inverse_search
-from hoq.semantics import check_equiv, delta_dimension, lambda_recursive, upsilon
-from hoq.subspace_algebra import delta_of_type, from_json_obj
 from hoq.tolerances import DEFAULT_FEAS_TOL, DEFAULT_MAX_ITER, DEFAULT_TOL
 from hoq.type_ast import (
     Arrow,
     ParseError,
+    _check_tooth_count,
     factor_dims,
+    make_comb,
     parse_type,
     print_canonical,
     total_dim,
     type_depth,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = ["run", "main", "schema_name"]
 
@@ -72,6 +68,8 @@ def schema_name(command: str, mode: Optional[str] = None) -> str:
 
 
 def load_schema(command: str, mode: Optional[str] = None) -> dict:
+    from importlib import resources
+
     path = resources.files("hoq.schemas") / schema_name(command, mode)
     return json.loads(path.read_text(encoding="utf-8"))
 
@@ -84,6 +82,8 @@ def _positive_float(text: str) -> float:
 
 
 def _positive_fraction(text: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         value = Fraction(text)
     except ZeroDivisionError:
@@ -192,6 +192,8 @@ def _cmd_parse(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_sem(args: argparse.Namespace) -> tuple[dict, int]:
+    from hoq.semantics import delta_dimension, upsilon
+
     x = parse_type(args.type)
     s = upsilon(x)
     payload = {
@@ -206,6 +208,8 @@ def _cmd_sem(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_equiv(args: argparse.Namespace) -> tuple[dict, int]:
+    from hoq.semantics import check_equiv
+
     x = parse_type(args.left)
     y = parse_type(args.right)
     perm = None
@@ -273,9 +277,11 @@ def _cmd_oracle_det(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _cmd_comb(args: argparse.Namespace) -> tuple[dict, int]:
     base = parse_type(args.base)
-    spec = CombSpec.uniform(base, args.n)
-    comb = spec.derived
+    _check_tooth_count(args.n)  # before the teeth are built, n of them
+    comb = make_comb((base,) * args.n)
     if args.mode == "delta":
+        from hoq.subspace_algebra import delta_of_type
+
         payload = {
             "type": print_canonical(comb),
             "strings": delta_of_type(comb).as_bitstrings(),
@@ -283,11 +289,19 @@ def _cmd_comb(args: argparse.Namespace) -> tuple[dict, int]:
         }
         return payload, 0
     if args.mode == "lambda":
+        from hoq.semantics import lambda_recursive
+
         return {"type": print_canonical(comb), "lambda": str(lambda_recursive(comb))}, 0
+    from hoq.comb_toolkit import (
+        _channel_slots,
+        comb_equiv_permutation,
+        expand_slot_perm,
+    )
+
     if args.mode == "norm":
         if args.matrix is None:
             raise ValueError("comb norm needs --matrix")
-        _channel_slots(spec)  # refuses teeth that are not channel-shaped
+        _channel_slots((base,))  # refuses a tooth that is not channel-shaped
     elif not isinstance(base, Arrow):
         raise ValueError("comb equiv-perm needs an arrow-shaped base")
     tooth_perm = comb_equiv_permutation(args.n)
@@ -313,6 +327,9 @@ def _cmd_comb(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_inverse(args: argparse.Namespace) -> tuple[dict, int]:
+    from hoq.inverse_search import SearchSpec, inverse_search
+    from hoq.subspace_algebra import from_json_obj
+
     dims = tuple(int(d) for d in args.dims.split(","))
     with open(args.delta, "r", encoding="utf-8") as fh:
         target, profile = from_json_obj(json.load(fh))
@@ -388,14 +405,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         payload, code = _HANDLERS[args.command](args)
         _emit(payload, args.format)  # strict JSON: a non-finite value raises
-    except (
-        ParseError,
-        ValueError,
-        TypeError,
-        KeyError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (ParseError, ValueError, TypeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

@@ -16,7 +16,6 @@ import numpy when called, so the closed forms load without it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -33,10 +32,10 @@ from hoq.subspace_algebra import (
     union,
 )
 from hoq.type_ast import (
-    MAX_NESTING,
     Arrow,
     Elementary,
     TypeExpr,
+    _check_tooth_count,
     factor_dims,
     make_comb,
     total_dim,
@@ -62,26 +61,18 @@ __all__ = [
 ]
 
 
-def _check_tooth_count(n: int) -> None:
-    if n < 1:
-        raise ValueError("a comb needs at least one tooth")
-    if n > MAX_NESTING:
-        # the comb type nests n levels deep, like a parsed type
-        raise ValueError(f"a comb has at most {MAX_NESTING} teeth, got {n}")
-
-
-@dataclass(frozen=True)
 class CombSpec:
     """An n-comb description: tooth count, tooth types, derived comb type."""
 
-    n: int
-    bases: tuple[TypeExpr, ...]
+    __slots__ = ("n", "bases")
 
-    def __post_init__(self) -> None:
-        _check_tooth_count(self.n)
-        if len(self.bases) != self.n:
-            raise ValueError(f"{len(self.bases)} bases for an {self.n}-comb")
-        object.__setattr__(self, "bases", tuple(self.bases))
+    def __init__(self, n: int, bases: Sequence[TypeExpr]) -> None:
+        _check_tooth_count(n)
+        bases = tuple(bases)
+        if len(bases) != n:
+            raise ValueError(f"{len(bases)} bases for an {n}-comb")
+        self.n = n
+        self.bases = bases
 
     @staticmethod
     def uniform(base: TypeExpr, n: int) -> "CombSpec":
@@ -202,11 +193,11 @@ def expand_slot_perm(
     return tuple(out)
 
 
-def _channel_slots(spec: CombSpec) -> tuple[list[int], list[int]]:
+def _channel_slots(bases: Sequence[TypeExpr]) -> tuple[list[int], list[int]]:
     """Per-tooth (input, output) slot dimensions; teeth must be channel-shaped."""
     ins: list[int] = []
     outs: list[int] = []
-    for base in spec.bases:
+    for base in bases:
         if not (
             isinstance(base, Arrow)
             and isinstance(base.tail, Elementary)
@@ -237,7 +228,7 @@ def check_comb_normalization(
     """
     import numpy as np
 
-    ins, outs = _channel_slots(spec)
+    ins, outs = _channel_slots(spec.bases)
     slot_dims = tuple(reversed(ins)) + tuple(outs)
     side = prod(slot_dims)
     current = R.matrix
@@ -275,7 +266,7 @@ def random_comb_choi(spec: CombSpec, rng: np.random.Generator) -> HermOp:
 
     from hoq.choi_numeric import HermOp
 
-    ins, outs = _channel_slots(spec)
+    ins, outs = _channel_slots(spec.bases)
     wire_dims = tuple(reversed(ins)) + tuple(outs)
     n = spec.n
     mems = [1] + [_MEMORY_DIM] * (n - 1) + [1]

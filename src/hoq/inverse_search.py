@@ -10,12 +10,11 @@ within the bounds, not a proof that no type exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb
 from string import ascii_uppercase
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from hoq.semantics import delta_dimension, find_alignment, upsilon
 from hoq.subspace_algebra import StringSet, dim_of_delta
@@ -54,7 +53,6 @@ class EnumerationCapExceeded(RuntimeError):
     """The bounded candidate space is still too large to walk."""
 
 
-@dataclass(frozen=True)
 class SearchSpec:
     """What to look for and how far to look.
 
@@ -68,47 +66,60 @@ class SearchSpec:
     identity coefficient.
     """
 
-    dims: tuple[int, ...]
-    target: StringSet
-    max_depth: int
-    max_trivial_leaves: int = 2
-    allow_permutations: bool = False
-    target_lambda: Optional[Fraction] = None
+    __slots__ = (
+        "dims",
+        "target",
+        "max_depth",
+        "max_trivial_leaves",
+        "allow_permutations",
+        "target_lambda",
+    )
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if not self.dims:
+    def __init__(
+        self,
+        dims: Sequence[int],
+        target: StringSet,
+        max_depth: int,
+        max_trivial_leaves: int = 2,
+        allow_permutations: bool = False,
+        target_lambda: Optional[Fraction] = None,
+    ) -> None:
+        dims = tuple(int(d) for d in dims)
+        if not dims:
             raise ValueError("dims must name at least one non-trivial factor")
-        if any(d < 2 for d in self.dims):
-            raise ValueError(f"factor dimensions must be >= 2: {self.dims}")
-        if len(self.dims) > len(_LEAF_LABELS):
+        if any(d < 2 for d in dims):
+            raise ValueError(f"factor dimensions must be >= 2: {dims}")
+        if len(dims) > len(_LEAF_LABELS):
             raise ValueError(
-                f"at most {len(_LEAF_LABELS)} factors supported, "
-                f"got {len(self.dims)}"
+                f"at most {len(_LEAF_LABELS)} factors supported, got {len(dims)}"
             )
-        if not isinstance(self.target, StringSet):
+        if not isinstance(target, StringSet):
             raise TypeError("target must be a StringSet")
-        if self.target.length != len(self.dims):
+        if target.length != len(dims):
             raise ValueError(
-                f"target strings have length {self.target.length}, "
-                f"expected {len(self.dims)}"
+                f"target strings have length {target.length}, "
+                f"expected {len(dims)}"
             )
-        e = (1 << len(self.dims)) - 1
-        if e in self.target:
+        e = (1 << len(dims)) - 1
+        if e in target:
             raise ValueError("target must not contain the all-identity string")
-        if self.max_depth < 1:
+        if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        if self.max_trivial_leaves < 0:
+        if max_trivial_leaves < 0:
             raise ValueError("max_trivial_leaves must be >= 0")
-        if self.target_lambda is not None:
-            lam = Fraction(self.target_lambda)
-            if lam <= 0:
+        if target_lambda is not None:
+            target_lambda = Fraction(target_lambda)
+            if target_lambda <= 0:
                 raise ValueError("target_lambda must be positive")
-            object.__setattr__(self, "target_lambda", lam)
+        self.dims = dims
+        self.target = target
+        self.max_depth = max_depth
+        self.max_trivial_leaves = max_trivial_leaves
+        self.allow_permutations = allow_permutations
+        self.target_lambda = target_lambda
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """Outcome of a bounded inverse search.
 
     ``matches`` holds canonical type strings, sorted, so results do not

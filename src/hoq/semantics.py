@@ -9,12 +9,10 @@ up to a relabelling of tensor factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import prod
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from hoq.subspace_algebra import StringSet, delta_normal_form, permute
 from hoq.type_ast import Elementary, TypeExpr, total_dim
@@ -54,17 +52,17 @@ def lambda_recursive(x: TypeExpr) -> Fraction:
 
     Elementary layer: 1/d.  Arrow: λ_head / (d_tail · λ_tail).  Results are
     cached per type node.
+
+    Every λ_x is 1/D_x for a divisor D_x of the total dimension d_x (true of
+    1/d, and kept by the arrow step), so the arrow step is the integer
+    D_head · (d_tail / D_tail), with an exact division and no gcd.
     """
     if isinstance(x, Elementary):
-        return Fraction(1, prod(a.dim for a in x.atoms))
+        return Fraction(1, total_dim(x))
     lam_tail = lambda_recursive(x.tail)
     lam_head = lambda_recursive(x.head)
     d_tail = total_dim(x.tail)
-    # λ_head / (d_tail · λ_tail) as one Fraction, reduced once
-    return Fraction(
-        lam_head.numerator * lam_tail.denominator,
-        lam_head.denominator * d_tail * lam_tail.numerator,
-    )
+    return Fraction(1, lam_head.denominator * (d_tail // lam_tail.denominator))
 
 
 @lru_cache(maxsize=_LAMBDA_CACHE_SIZE)
@@ -92,8 +90,7 @@ def delta_dimension(x: TypeExpr) -> int:
     return a_head * (1 + a_tail) + d_head**2 * (d_tail**2 - 1 - a_tail)
 
 
-@dataclass(frozen=True)
-class TypeSemantics:
+class TypeSemantics(NamedTuple):
     """Everything membership checks need to know about a type.
 
     ``lambda_`` is exact (serialized under the key "lambda"); ``delta`` and
@@ -119,8 +116,7 @@ def upsilon(x: TypeExpr) -> TypeSemantics:
     )
 
 
-@dataclass(frozen=True)
-class EquivalenceVerdict:
+class EquivalenceVerdict(NamedTuple):
     """Outcome of check_equiv.
 
     When ``equivalent`` is true, ``permutation`` is a factor alignment on the

@@ -72,6 +72,15 @@ _LABEL = re.compile(r"[^\W\d_]\w*")
 MAX_NESTING = 100
 
 
+def _check_tooth_count(n: int) -> None:
+    """Refuse a comb tooth count before any of the n teeth is built."""
+    if n < 1:
+        raise ValueError("a comb needs at least one tooth")
+    if n > MAX_NESTING:
+        # the comb type nests n levels deep, like a parsed type
+        raise ValueError(f"a comb has at most {MAX_NESTING} teeth, got {n}")
+
+
 class ParseError(ValueError):
     """Raised when a type string violates the grammar.
 
@@ -178,6 +187,13 @@ class Atom(_Term):
             )
         return cls._enter(key, label, dim)
 
+    @classmethod
+    def _parsed(cls, label: str, dim: int) -> Atom:
+        """The parser's route: it has checked the label and the dimension
+        already, so a new atom is entered without checking them again."""
+        key = (label, dim)
+        return cls._table.get(key, _dead)() or cls._enter(key, label, dim)
+
     def __str__(self) -> str:
         if self.dim == 1:
             return TRIVIAL_LABEL
@@ -187,7 +203,7 @@ class Atom(_Term):
 class Elementary(_Term):
     """An elementary layer: a nonempty group of atoms, written A:2*B:3."""
 
-    __slots__ = ("atoms", "dims")
+    __slots__ = ("atoms", "dims", "dim")
     _fields = ("atoms",)
 
     def __new__(cls, atoms: Sequence[Atom]) -> Elementary:
@@ -200,7 +216,8 @@ class Elementary(_Term):
             raise ValueError("elementary type needs at least one atom")
         if not all(isinstance(a, Atom) for a in atoms):
             raise TypeError(f"not a tuple of atoms: {atoms!r}")
-        return cls._enter(atoms, atoms, tuple(a.dim for a in atoms))
+        dims = tuple(a.dim for a in atoms)
+        return cls._enter(atoms, atoms, dims, prod(dims))
 
     def __str__(self) -> str:
         return print_canonical(self)
@@ -209,7 +226,7 @@ class Elementary(_Term):
 class Arrow(_Term):
     """The map type ``tail -> head``."""
 
-    __slots__ = ("tail", "head", "dims")
+    __slots__ = ("tail", "head", "dims", "dim")
     _fields = ("tail", "head")
 
     def __new__(cls, tail: TypeExpr, head: TypeExpr) -> Arrow:
@@ -221,7 +238,7 @@ class Arrow(_Term):
         tail, head = key
         if not (isinstance(tail, _TYPES) and isinstance(head, _TYPES)):
             raise TypeError(f"not type expressions: {tail!r}, {head!r}")
-        return cls._enter(key, tail, head, tail.dims + head.dims)
+        return cls._enter(key, tail, head, tail.dims + head.dims, tail.dim * head.dim)
 
     def __str__(self) -> str:
         return print_canonical(self)
@@ -287,7 +304,7 @@ def parse_type(text: str) -> TypeExpr:
             raise error(f"expected a label, found {label!r}")
         at += 1
         if tokens[at] != ":":
-            return Atom(label, 1 if label == TRIVIAL_LABEL else 2)
+            return Atom._parsed(label, 1 if label == TRIVIAL_LABEL else 2)
         if label == TRIVIAL_LABEL:
             raise error(f"the trivial system {TRIVIAL_LABEL!r} takes no dimension")
         at += 1
@@ -300,7 +317,7 @@ def parse_type(text: str) -> TypeExpr:
                 f"is written {TRIVIAL_LABEL!r}"
             )
         at += 1
-        return Atom(label, dim)
+        return Atom._parsed(label, dim)
 
     expr = type_(1)
     if tokens[at]:
@@ -338,8 +355,11 @@ def factor_dims(x: TypeExpr) -> tuple[int, ...]:
 
 
 def total_dim(x: TypeExpr) -> int:
-    """Dimension of the full Hilbert space carrying events of type ``x``."""
-    return prod(x.dims)
+    """Dimension of the full Hilbert space carrying events of type ``x``.
+    Each type node computes it once, when it is built, from its atoms or as
+    the product of its sides, so recursions that ask at every node stay
+    linear in the tree."""
+    return x.dim
 
 
 def type_depth(x: TypeExpr) -> int:

@@ -741,40 +741,78 @@ def test_inverse_huge_bounds_on_both_axes_exit_3(tmp_path):
     }
 
 
-_WITHOUT_NUMPY = """
+# One fresh interpreter per call: prints the exit code and the modules the
+# call loaded that the bare interpreter (site included) had not.
+_LOADED_MODULES = """
 import contextlib, io, json, sys
+bare = set(sys.modules)
 if sys.argv[2] == "preload":
     import hoq.comb_toolkit, hoq.inverse_search
 from hoq.cli import run
-seen = ["numpy" in sys.modules]
-for argv in json.loads(sys.argv[1]):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        seen.append([run(argv), "numpy" in sys.modules])
-print(json.dumps(seen))
+output = io.StringIO()
+with contextlib.redirect_stdout(output), contextlib.redirect_stderr(output):
+    code = run(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(set(sys.modules) - bare)]))
 """
+
+_CLI_BASE = {"hoq", "hoq.cli", "hoq.tolerances", "hoq.type_ast"}
+_EXACT = _CLI_BASE | {"hoq.semantics", "hoq.subspace_algebra"}
+_PRELOADED = _EXACT | {"hoq.comb_toolkit", "hoq.inverse_search"}
+
+
+def loaded_modules(argv, preload="none"):
+    """Exit code of ``hoq argv`` in a fresh interpreter, and the modules the
+    call loaded beyond those of the bare interpreter."""
+    proc = python_with_src(
+        ["-c", _LOADED_MODULES, json.dumps(argv), preload], timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    return code, set(loaded)
+
+
+def hoq_modules(loaded):
+    return {m for m in loaded if m.partition(".")[0] == "hoq"}
 
 
 @pytest.mark.parametrize("preload", ["none", "preload"])
 def test_exact_subcommands_run_without_numpy(tmp_path, preload):
     index_set = write_index_set(tmp_path / "t.json", (2,), ["0"])
     calls = [
-        (["parse", "A->B"], 0),
-        (["sem", "(A:2->B:2)->C:2"], 0),
-        (["equiv", "(A:2->I)->I", "A:2"], 0),
-        (["comb", "delta", "--base", "A:2->B:2", "--n", "2"], 0),
-        (["comb", "lambda", "--base", "A:2->B:2", "--n", "2"], 0),
-        (["comb", "equiv-perm", "--base", "A:2->B:2", "--n", "2"], 0),
-        (["inverse", "--dims", "2", "--delta", index_set, "--max-depth", "2"], 0),
-        (["equiv", "A:2"], 2),
+        (["parse", "A->B"], 0, _CLI_BASE),
+        (["sem", "(A:2->B:2)->C:2"], 0, _EXACT),
+        (["equiv", "(A:2->I)->I", "A:2"], 0, _EXACT),
+        (["comb", "delta", "--base", "A:2->B:2", "--n", "2"], 0,
+         _CLI_BASE | {"hoq.subspace_algebra"}),
+        (["comb", "lambda", "--base", "A:2->B:2", "--n", "2"], 0, _EXACT),
+        (["comb", "equiv-perm", "--base", "A:2->B:2", "--n", "2"], 0,
+         _EXACT | {"hoq.comb_toolkit"}),
+        (["inverse", "--dims", "2", "--delta", index_set, "--max-depth", "2"], 0,
+         _EXACT | {"hoq.inverse_search"}),
+        (["equiv", "A:2"], 2, _CLI_BASE),
     ]
-    proc = python_with_src(
-        ["-c", _WITHOUT_NUMPY, json.dumps([argv for argv, _ in calls]), preload],
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout)
-    assert seen == [False] + [[code, False] for _, code in calls]
+    for argv, want_code, want_hoq in calls:
+        code, loaded = loaded_modules(argv, preload)
+        assert code == want_code, argv
+        assert not loaded & {"numpy", "dataclasses"}, argv
+        if preload == "preload":
+            want_hoq = want_hoq | _PRELOADED
+        assert hoq_modules(loaded) == want_hoq, argv
+
+
+def test_numeric_subcommands_load_only_their_modules(tmp_path):
+    m = write_matrix(tmp_path / "m.json", (2, 2), np.eye(4) / 2)
+    numeric = _EXACT | {"hoq.choi_numeric"}
+    calls = [
+        (["check-det", "--type", "A:2->B:2", "--matrix", m], 0, numeric),
+        (["sample-det", "--type", "A:2->B:2"], 0, numeric),
+        (["comb", "norm", "--base", "A:2->B:2", "--n", "1", "--matrix", m], 0,
+         numeric | {"hoq.comb_toolkit"}),
+    ]
+    for argv, want_code, want_hoq in calls:
+        code, loaded = loaded_modules(argv)
+        assert code == want_code, argv
+        assert hoq_modules(loaded) == want_hoq, argv
 
 
 def test_parser_defaults_are_the_numeric_defaults():

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 import oracles
 from generators import random_type, type_strategy
 from helpers import extend_by, k_exponents
+from hoq import type_ast
+from hoq.comb_toolkit import CombSpec, comb_lambda_closed
 from hoq.semantics import (
     ALIGNMENT_CAP,
     AlignmentCapExceeded,
@@ -31,6 +33,7 @@ from hoq.type_ast import (
     Elementary,
     bar,
     factor_dims,
+    make_comb,
     parse_type,
     tensor,
     total_dim,
@@ -114,6 +117,21 @@ def test_lambda_recursion_equals_exponent_closed_form(x):
         start=Fraction(1),
     )
     assert lambda_recursive(x) == closed
+
+
+def test_lambda_recursion_reads_stored_dimensions(monkeypatch):
+    # the deepest base the parser takes, as every tooth of the largest comb;
+    # each arrow asks for its tail's dimension, which every node stores when
+    # it is built, so no product over the factors below is taken again
+    base = parse_type("->".join(f"L{i}:2" for i in range(100)))
+    comb = make_comb([base] * 100)
+
+    def no_product(dims):
+        raise AssertionError(f"a product over {len(dims)} factors")
+
+    monkeypatch.setattr(type_ast, "prod", no_product)
+    lambda_recursive.cache_clear()
+    assert lambda_recursive(comb) == comb_lambda_closed(CombSpec.uniform(base, 100))
 
 
 def test_oracle_live_agreement():

@@ -1,6 +1,7 @@
 """Parser, canonical printer, and structural helpers."""
 
 import re
+from math import prod
 
 import pytest
 from hypothesis import given
@@ -117,6 +118,34 @@ def test_type_depth():
     assert type_depth(parse_type("A->B")) == 2
     assert type_depth(parse_type("(A->B)->C")) == 3
     assert type_depth(parse_type("A->(B->C)")) == 3
+
+
+def test_parser_matches_a_new_label_once(monkeypatch):
+    label_pattern = type_ast._LABEL
+    matched = []
+
+    class CountingLabel:
+        def fullmatch(self, text):
+            matched.append(text)
+            return label_pattern.fullmatch(text)
+
+    monkeypatch.setattr(type_ast, "_LABEL", CountingLabel())
+    x = parse_type("Qonce:3*I")  # labels no live atom carries
+    assert matched == ["Qonce", "I"]
+    assert x.atoms == (Atom("Qonce", 3), Atom("I", 1))
+
+
+def test_public_atom_still_checks_its_label():
+    for label in ("a b", "", "1A", "_A", "A-B"):
+        with pytest.raises(ValueError, match="bad atom label"):
+            Atom(label, 2)
+
+
+def test_total_dim_multiplies_its_sides():
+    base = parse_type("->".join(f"A{i}:{2 + i % 3}" for i in range(40)))
+    comb = make_comb([base] * 40)
+    assert total_dim(comb) == prod(factor_dims(comb))
+    assert total_dim(comb) == total_dim(comb.tail) * total_dim(comb.head)
 
 
 def test_bar_and_tensor_shapes():
