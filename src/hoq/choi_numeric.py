@@ -58,7 +58,7 @@ import numpy as np
 from hoq.semantics import lambda_recursive
 from hoq.subspace_algebra import StringSet, _json_dims, complement_in_T, delta_normal_form
 from hoq.tolerances import DEFAULT_FEAS_TOL, DEFAULT_MAX_ITER, DEFAULT_TOL
-from hoq.type_ast import TypeExpr, factor_dims
+from hoq.type_ast import TypeExpr, _check_int, _check_perm, factor_dims
 
 HERM_TOL = 1e-10        # anti-Hermitian residual bound enforced by HermOp
 # Largest matrix side sampled or loaded: a complex side-2048 matrix takes
@@ -104,9 +104,7 @@ class HermOp:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
-        if any(d < 1 for d in dims):
-            raise ValueError(f"bad factor dims {dims}")
+        dims = tuple([_check_int(d, 1, "factor dimension") for d in self.dims])
         herm, residual = _hermitian(self.matrix, dims)
         if residual > HERM_TOL:
             raise ValueError("matrix is not Hermitian within HERM_TOL")
@@ -162,11 +160,9 @@ def _checked_side(dims: Sequence[int]) -> int:
 def reorder_factors(O: HermOp, perm: Sequence[int]) -> HermOp:
     """Gather factors: new position i carries old position perm[i]."""
     k = len(O.dims)
-    perm = [int(p) for p in perm]
-    if sorted(perm) != list(range(k)):
-        raise ValueError(f"not a permutation of range({k}): {perm}")
+    perm = _check_perm(perm, k)
     t = O.matrix.reshape(O.dims + O.dims)
-    axes = perm + [k + p for p in perm]
+    axes = perm + tuple(k + p for p in perm)
     new_dims = tuple(O.dims[p] for p in perm)
     side = prod(new_dims)
     return HermOp(new_dims, np.transpose(t, axes).reshape(side, side))
@@ -439,8 +435,7 @@ def check_admissible(
     * "no_certificate" at max_iter otherwise; final_distance is then the
       Frobenius distance from the last affine iterate to {Z : Z >= M}.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    max_iter = _check_int(max_iter, 1, "max_iter")
     dims = factor_dims(x)
     herm, herm_residual = _hermitian(M, dims)
     eigs = np.linalg.eigvalsh(herm)
@@ -515,8 +510,7 @@ def oracle_deterministic(
     operators passing check_deterministic for y. Probes are drawn one at a
     time, lambda_x I first, and the first one that fails ends the test.
     """
-    if samples < 0:
-        raise ValueError(f"samples must be at least 0, got {samples}")
+    samples = _check_int(samples, 0, "samples")
     dims = factor_dims(x) + factor_dims(y)
     _checked_side(dims)
     herm, herm_residual = _hermitian(M, dims)

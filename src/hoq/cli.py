@@ -43,35 +43,7 @@ from hoq.type_ast import (
 if TYPE_CHECKING:
     from fractions import Fraction
 
-__all__ = ["run", "main", "schema_name"]
-
-_SCHEMAS = {
-    "parse": "parse.schema.json",
-    "sem": "sem.schema.json",
-    "equiv": "equiv.schema.json",
-    "check-det": "check_det.schema.json",
-    "check-adm": "check_adm.schema.json",
-    "sample-det": "matrix.schema.json",
-    "oracle-det": "oracle_det.schema.json",
-    ("comb", "delta"): "comb_delta.schema.json",
-    ("comb", "lambda"): "comb_lambda.schema.json",
-    ("comb", "norm"): "comb_norm.schema.json",
-    ("comb", "equiv-perm"): "comb_equiv_perm.schema.json",
-    "inverse": "inverse.schema.json",
-}
-
-
-def schema_name(command: str, mode: Optional[str] = None) -> str:
-    """Schema file (under hoq/schemas/) validating a subcommand's output."""
-    key = (command, mode) if command == "comb" else command
-    return _SCHEMAS[key]
-
-
-def load_schema(command: str, mode: Optional[str] = None) -> dict:
-    from importlib import resources
-
-    path = resources.files("hoq.schemas") / schema_name(command, mode)
-    return json.loads(path.read_text(encoding="utf-8"))
+__all__ = ["run", "main"]
 
 
 def _positive_float(text: str) -> float:
@@ -162,8 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
 
     p = sub.add_parser("inverse", help="bounded inverse search on an index set")
-    p.add_argument("--dims", required=True, help="comma-separated factor dims")
-    p.add_argument("--delta", required=True, help="index-set JSON file")
+    p.add_argument("--delta", required=True, help="index-set JSON file, dims included")
     p.add_argument("--max-depth", type=int, default=3)
     p.add_argument("--trivial-leaves", type=int, default=2)
     p.add_argument(
@@ -330,14 +301,8 @@ def _cmd_inverse(args: argparse.Namespace) -> tuple[dict, int]:
     from hoq.inverse_search import SearchSpec, inverse_search
     from hoq.subspace_algebra import from_json_obj
 
-    dims = tuple(int(d) for d in args.dims.split(","))
     with open(args.delta, "r", encoding="utf-8") as fh:
-        target, profile = from_json_obj(json.load(fh))
-    if tuple(profile) != dims:
-        raise ValueError(
-            f"index-set file dims {list(profile)} do not match --dims "
-            f"{list(dims)}"
-        )
+        target, dims = from_json_obj(json.load(fh))
     spec = SearchSpec(
         dims=dims,
         target=target,

@@ -35,6 +35,8 @@ from hoq.type_ast import (
     Arrow,
     Elementary,
     TypeExpr,
+    _check_int,
+    _check_perm,
     _check_tooth_count,
     factor_dims,
     make_comb,
@@ -67,7 +69,7 @@ class CombSpec:
     __slots__ = ("n", "bases")
 
     def __init__(self, n: int, bases: Sequence[TypeExpr]) -> None:
-        _check_tooth_count(n)
+        n = _check_tooth_count(n)  # before the teeth are drawn, n of them
         bases = tuple(bases)
         if len(bases) != n:
             raise ValueError(f"{len(bases)} bases for an {n}-comb")
@@ -76,8 +78,7 @@ class CombSpec:
 
     @staticmethod
     def uniform(base: TypeExpr, n: int) -> "CombSpec":
-        _check_tooth_count(n)  # before the teeth are built, n of them
-        return CombSpec(n, (base,) * n)
+        return CombSpec(n, (base for _ in range(n)))  # drawn after n is checked
 
     @property
     def derived(self) -> TypeExpr:
@@ -171,8 +172,7 @@ def comb_equiv_permutation(n: int) -> tuple[int, ...]:
     output slot i reads input slot perm[i].  n = 1 gives the identity on two
     slots; n = 2 gives (A_2, A_1, B_1, B_2), i.e. (2, 0, 1, 3).
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = _check_int(n, 1, "tooth count")
     return tuple(2 * (n - 1 - i) for i in range(n)) + tuple(
         2 * k + 1 for k in range(n)
     )
@@ -182,8 +182,7 @@ def expand_slot_perm(
     perm: Sequence[int], slot_sizes: Sequence[int]
 ) -> tuple[int, ...]:
     """Refine a slot-level permutation to positions, slots kept contiguous."""
-    if sorted(perm) != list(range(len(slot_sizes))):
-        raise ValueError("perm must permute the slots")
+    perm = _check_perm(perm, len(slot_sizes))
     starts = [0]
     for size in slot_sizes:
         starts.append(starts[-1] + size)

@@ -24,6 +24,7 @@ from hoq.type_ast import (
     Atom,
     Elementary,
     TypeExpr,
+    _check_int,
     print_canonical,
 )
 
@@ -63,7 +64,9 @@ class SearchSpec:
     an arrow one more than its deeper side).  Up to ``max_trivial_leaves``
     one-dimensional leaves may be inserted on top of the mandatory factors.
     When ``target_lambda`` is set, matches must also reproduce that exact
-    identity coefficient.
+    identity coefficient; it is an ``int``, a ``Fraction`` or a ``str``
+    such as ``"1/2"``, and a ``float`` raises TypeError.  Dims and bounds
+    pass the integer rule of ``type_ast._check_int``.
     """
 
     __slots__ = (
@@ -84,11 +87,9 @@ class SearchSpec:
         allow_permutations: bool = False,
         target_lambda: Optional[Fraction] = None,
     ) -> None:
-        dims = tuple(int(d) for d in dims)
+        dims = tuple([_check_int(d, 2, "factor dimension") for d in dims])
         if not dims:
             raise ValueError("dims must name at least one non-trivial factor")
-        if any(d < 2 for d in dims):
-            raise ValueError(f"factor dimensions must be >= 2: {dims}")
         if len(dims) > len(_LEAF_LABELS):
             raise ValueError(
                 f"at most {len(_LEAF_LABELS)} factors supported, got {len(dims)}"
@@ -103,18 +104,19 @@ class SearchSpec:
         e = (1 << len(dims)) - 1
         if e in target:
             raise ValueError("target must not contain the all-identity string")
-        if max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if max_trivial_leaves < 0:
-            raise ValueError("max_trivial_leaves must be >= 0")
         if target_lambda is not None:
+            if isinstance(target_lambda, float):
+                # 0.1 is 3602879701896397/2**55, which no type's lambda equals
+                raise TypeError(f"target_lambda must be exact, got {target_lambda!r}")
             target_lambda = Fraction(target_lambda)
             if target_lambda <= 0:
                 raise ValueError("target_lambda must be positive")
         self.dims = dims
         self.target = target
-        self.max_depth = max_depth
-        self.max_trivial_leaves = max_trivial_leaves
+        self.max_depth = _check_int(max_depth, 1, "max_depth")
+        self.max_trivial_leaves = _check_int(
+            max_trivial_leaves, 0, "max_trivial_leaves"
+        )
         self.allow_permutations = allow_permutations
         self.target_lambda = target_lambda
 

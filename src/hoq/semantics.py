@@ -15,7 +15,7 @@ from itertools import permutations
 from typing import NamedTuple, Optional, Sequence
 
 from hoq.subspace_algebra import StringSet, delta_normal_form, permute
-from hoq.type_ast import Elementary, TypeExpr, total_dim
+from hoq.type_ast import Elementary, TypeExpr, _check_perm, total_dim
 
 __all__ = [
     "TypeSemantics",
@@ -182,9 +182,7 @@ def check_equiv(
     sy = upsilon(y)
     k = len(sx.dims)
     if perm is not None:
-        perm = tuple(int(p) for p in perm)
-        if sorted(perm) != list(range(k)):
-            raise ValueError(f"perm must permute range({k}), got {perm}")
+        perm = _check_perm(perm, k)
     if sx.lambda_ != sy.lambda_ or len(sy.dims) != k:
         return EquivalenceVerdict(False, None)
     if perm is not None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from hoq.type_ast import Arrow, Elementary, TypeExpr, factor_dims
+from hoq.type_ast import Arrow, Elementary, TypeExpr, _check_perm, factor_dims
 
 MAX_FACTORS = 24
 # An index set over k positions is one int of 2^k bits, so the largest one
@@ -245,8 +245,7 @@ def _gather(
 
 def permute(J: StringSet, perm: Sequence[int]) -> StringSet:
     """Reindex factors: output position i reads input position perm[i]."""
-    if sorted(perm) != list(range(J.length)):
-        raise ValueError(f"not a permutation of range({J.length}): {perm}")
+    perm = _check_perm(perm, J.length)
     ell = J.length
     return _gather(J, ell, [(ell - 1 - p, ell - 1 - i) for i, p in enumerate(perm)])
 
@@ -362,7 +361,9 @@ def delta_normal_form(x: TypeExpr) -> tuple[StringSet, tuple[int, ...]]:
 
 
 def _json_dims(value: object) -> tuple[int, ...]:
-    """Dims from an index-set or matrix file: JSON integers >= 1 only."""
+    """Dims from an index-set or matrix file: JSON integers >= 1 only.  This
+    is stricter than the integer rule of ``type_ast._check_int`` on purpose:
+    a file holds no numpy integers, and its ``2.0`` is refused."""
     if not isinstance(value, list) or any(type(d) is not int or d < 1 for d in value):
         raise ValueError(f"dims must be a list of integers >= 1, got {value!r}")
     return tuple(value)

@@ -72,13 +72,42 @@ _LABEL = re.compile(r"[^\W\d_]\w*")
 MAX_NESTING = 100
 
 
-def _check_tooth_count(n: int) -> None:
+def _check_int(value: int, low: int, what: str) -> int:
+    """The integer rule: ``value`` as an ``int``, at least ``low``.
+
+    An ``int`` passes, and so does an integer type with ``__index__``, such
+    as numpy's.  A ``bool`` or a number that is not integral raises
+    TypeError and is never truncated; a value below ``low`` raises
+    ValueError.  Two inputs are stricter on purpose: an atom's dimension
+    must be an exact ``int``, since it keys the interning table, and the
+    dims of a JSON file must be JSON integers (``subspace_algebra._json_dims``).
+    """
+    if value.__class__ is not int:
+        index = getattr(type(value), "__index__", None)
+        if index is None or isinstance(value, bool):
+            raise TypeError(f"{what} must be an integer, got {value!r}")
+        value = index(value)
+    if value < low:
+        raise ValueError(f"{what} must be at least {low}, got {value}")
+    return value
+
+
+def _check_perm(perm: Sequence[int], k: int) -> tuple[int, ...]:
+    """The permutation rule: ``perm`` as a tuple of ints listing each of
+    range(k) once, every entry passing the integer rule."""
+    perm = tuple([_check_int(p, 0, "perm entry") for p in perm])
+    if sorted(perm) != list(range(k)):
+        raise ValueError(f"not a permutation of range({k}): {perm}")
+    return perm
+
+
+def _check_tooth_count(n: int) -> int:
     """Refuse a comb tooth count before any of the n teeth is built."""
-    if n < 1:
-        raise ValueError("a comb needs at least one tooth")
+    n = _check_int(n, 1, "tooth count")
     if n > MAX_NESTING:
         # the comb type nests n levels deep, like a parsed type
         raise ValueError(f"a comb has at most {MAX_NESTING} teeth, got {n}")
+    return n
 
 
 class ParseError(ValueError):
@@ -159,6 +188,8 @@ class Atom(_Term):
     ``dim == 1  <=>  label == "I"`` keeps the canonical printer total
     (a one-dimensional atom always prints as ``I``).  The dimension must be
     an ``int``: a ``bool``, a ``float`` or a numpy integer raises TypeError.
+    This is stricter than the integer rule (``_check_int``) on purpose: the
+    dimension is part of the interning key, and one class test guards it.
     """
 
     __slots__ = ("label", "dim")

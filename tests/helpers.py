@@ -2,13 +2,15 @@
 random density matrix, the Choi matrix of a channel from its Kraus operators
 and of a random channel, the partial trace, the JSON forms of an index set
 and of a matrix file (the package only reads both kinds of file), a type
-with one more output system, and the exponents of the closed form of λ."""
+with one more output system, the exponents of the closed form of λ, and the
+JSON schema that validates each CLI subcommand's output."""
 
 from __future__ import annotations
 
 import json
+from importlib import resources
 from math import prod
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -108,3 +110,30 @@ def k_exponents(x: TypeExpr) -> tuple[int, ...]:
         return (1,) * len(x.atoms)
     flipped = tuple(1 - k for k in k_exponents(x.tail))
     return flipped + k_exponents(x.head)
+
+
+_SCHEMAS = {
+    "parse": "parse.schema.json",
+    "sem": "sem.schema.json",
+    "equiv": "equiv.schema.json",
+    "check-det": "check_det.schema.json",
+    "check-adm": "check_adm.schema.json",
+    "sample-det": "matrix.schema.json",
+    "oracle-det": "oracle_det.schema.json",
+    ("comb", "delta"): "comb_delta.schema.json",
+    ("comb", "lambda"): "comb_lambda.schema.json",
+    ("comb", "norm"): "comb_norm.schema.json",
+    ("comb", "equiv-perm"): "comb_equiv_perm.schema.json",
+    "inverse": "inverse.schema.json",
+}
+
+
+def schema_name(command: str, mode: Optional[str] = None) -> str:
+    """Schema file (under hoq/schemas/) validating a subcommand's output."""
+    key = (command, mode) if command == "comb" else command
+    return _SCHEMAS[key]
+
+
+def load_schema(command: str, mode: Optional[str] = None) -> dict:
+    path = resources.files("hoq.schemas") / schema_name(command, mode)
+    return json.loads(path.read_text(encoding="utf-8"))

@@ -332,6 +332,20 @@ def test_admissible_rejects_double_uniform():
     assert report.final_distance > DEFAULT_FEAS_TOL
 
 
+def test_admissible_runs_out_of_iterations():
+    # a pure state at 0.999 of its witnessed scale is admissible, so no dual
+    # event refutes it, and 16 iterations find no witness either
+    x = parse_type("(A:2->B:2)->C:2")
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    m = np.outer(v, v.conj()) / np.vdot(v, v).real
+    m *= 0.999 * max_admissible_scale(m, x)
+    report = check_admissible(m, x, max_iter=16)
+    assert report.feasible == "no_certificate" and report.witness is None
+    assert report.iterations == 16
+    assert 0 < report.final_distance < float("inf")
+
+
 def test_admissible_precheck_non_psd():
     x = parse_type("A:2")
     report = check_admissible(-np.eye(2, dtype=complex), x)

@@ -15,9 +15,9 @@ import pytest
 import hoq
 from generators import nested_trivial
 from hoq import cli, comb_toolkit, type_ast
-from helpers import save_matrix
+from helpers import load_schema, save_matrix, schema_name
 from hoq.choi_numeric import HermOp, check_deterministic, reorder_factors
-from hoq.cli import load_schema, run, schema_name
+from hoq.cli import run
 from hoq.comb_toolkit import (
     CombSpec,
     check_comb_normalization,
@@ -384,9 +384,7 @@ def test_comb_norm_tolerance_is_check_dets(invoke, tmp_path, tooth, n):
 
 def test_inverse_finds_state_types(invoke, tmp_path):
     d = write_index_set(tmp_path / "t.json", (2,), ["0"])
-    code, out, err = invoke(
-        "inverse", "--dims", "2", "--delta", d, "--max-depth", "2"
-    )
+    code, out, err = invoke("inverse", "--delta", d, "--max-depth", "2")
     assert code == 0
     payload = validated(out, "inverse")
     assert payload["matches"] == ["A:2", "I->A:2"]
@@ -395,9 +393,7 @@ def test_inverse_finds_state_types(invoke, tmp_path):
 
 def test_inverse_no_match_exit(invoke, tmp_path):
     d = write_index_set(tmp_path / "t.json", (2, 2), ["00"])
-    code, out, err = invoke(
-        "inverse", "--dims", "2,2", "--delta", d, "--max-depth", "4"
-    )
+    code, out, err = invoke("inverse", "--delta", d, "--max-depth", "4")
     assert code == 1
     payload = validated(out, "inverse")
     assert payload["matches"] == [] and payload["exhausted"] is True
@@ -409,8 +405,7 @@ def test_inverse_past_the_cap_exits_3(invoke, tmp_path):
     # trivial leaves is refused at once instead of recursing per level
     d = write_index_set(tmp_path / "t.json", (2,), [])
     code, out, err = invoke(
-        "inverse", "--dims", "2", "--delta", d,
-        "--max-depth", "1200", "--trivial-leaves", "1100",
+        "inverse", "--delta", d, "--max-depth", "1200", "--trivial-leaves", "1100",
     )
     assert code == 3
     payload = validated(out, "inverse")
@@ -421,8 +416,6 @@ def test_inverse_flags(invoke, tmp_path):
     d = write_index_set(tmp_path / "t.json", (2, 3), ["00", "01"])
     code, out, _ = invoke(
         "inverse",
-        "--dims",
-        "2,3",
         "--delta",
         d,
         "--max-depth",
@@ -436,22 +429,22 @@ def test_inverse_flags(invoke, tmp_path):
     assert "B:3->A:2" in payload["matches"]
 
 
-def test_inverse_dims_mismatch(invoke, tmp_path):
+def test_inverse_takes_its_dims_from_the_file(invoke, tmp_path):
     d = write_index_set(tmp_path / "t.json", (2,), ["0"])
-    code, _, err = invoke("inverse", "--dims", "2,2", "--delta", d)
-    assert code == 2 and "error:" in err
+    code, out, err = invoke("inverse", "--dims", "2", "--delta", d)
+    assert code == 2 and out == "" and "unrecognized arguments: --dims" in err
 
 
 def test_index_set_file_dims_must_be_integers(invoke, tmp_path):
     d = write_index_set(tmp_path / "t.json", (2.9, True), ["00"])
-    code, out, err = invoke("inverse", "--dims", "2,1", "--delta", d)
+    code, out, err = invoke("inverse", "--delta", d)
     assert code == 2 and out == "" and "integers" in err
 
 
 @pytest.mark.parametrize("strings", ["0", ["0", 1]])
 def test_index_set_file_strings_must_be_a_list_of_strings(invoke, tmp_path, strings):
     d = write_index_set(tmp_path / "t.json", (2,), strings)
-    code, out, err = invoke("inverse", "--dims", "2", "--delta", d)
+    code, out, err = invoke("inverse", "--delta", d)
     assert code == 2 and out == "" and "strings" in err
 
 
@@ -462,9 +455,7 @@ def test_index_set_file_beyond_capacity_is_refused_at_load(
     # 25 positions exceed MAX_FACTORS whether or not the set is empty; the
     # file is refused before any candidate is counted or built
     d = write_index_set(tmp_path / "t.json", (2,) * 25, strings)
-    code, out, err = invoke(
-        "inverse", "--dims", ",".join(["2"] * 25), "--delta", d, "--max-depth", "2"
-    )
+    code, out, err = invoke("inverse", "--delta", d, "--max-depth", "2")
     assert code == 2 and out == "" and "outside [0, 24]" in err
 
 
@@ -717,7 +708,7 @@ def test_comb_teeth_are_refused_before_they_are_built():
 )
 def test_inverse_bounds_past_what_a_tree_holds(invoke, tmp_path, huge, enough):
     d = write_index_set(tmp_path / "t.json", (2, 2), ["00"])
-    argv = ["inverse", "--dims", "2,2", "--delta", d]
+    argv = ["inverse", "--delta", d]
     code, expected, _ = invoke(*argv, *enough)
     assert code == 1
     proc = python_with_src(
@@ -731,7 +722,7 @@ def test_inverse_bounds_past_what_a_tree_holds(invoke, tmp_path, huge, enough):
 def test_inverse_huge_bounds_on_both_axes_exit_3(tmp_path):
     d = write_index_set(tmp_path / "t.json", (2,), [])
     proc = python_with_src(
-        ["-m", "hoq.cli", "inverse", "--dims", "2", "--delta", d,
+        ["-m", "hoq.cli", "inverse", "--delta", d,
          "--max-depth", "1000000000000", "--trivial-leaves", "1000000000000"],
         timeout=10, preexec_fn=_limit_address_space,
     )
@@ -787,7 +778,7 @@ def test_exact_subcommands_run_without_numpy(tmp_path, preload):
         (["comb", "lambda", "--base", "A:2->B:2", "--n", "2"], 0, _EXACT),
         (["comb", "equiv-perm", "--base", "A:2->B:2", "--n", "2"], 0,
          _EXACT | {"hoq.comb_toolkit"}),
-        (["inverse", "--dims", "2", "--delta", index_set, "--max-depth", "2"], 0,
+        (["inverse", "--delta", index_set, "--max-depth", "2"], 0,
          _EXACT | {"hoq.inverse_search"}),
         (["equiv", "A:2"], 2, _CLI_BASE),
     ]

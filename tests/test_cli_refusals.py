@@ -25,9 +25,7 @@ def invoke(capsys):
 def test_inverse_lambda_must_be_a_positive_fraction(invoke, tmp_path, value):
     delta = tmp_path / "delta.json"
     delta.write_text('{"dims": [2, 2], "strings": ["00", "10"]}')
-    code, out, err = invoke(
-        "inverse", "--dims", "2,2", "--delta", str(delta), f"--lambda={value}"
-    )
+    code, out, err = invoke("inverse", "--delta", str(delta), f"--lambda={value}")
     assert (code, out) == (2, "")
     assert "argument --lambda" in err
 

@@ -203,6 +203,8 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         spec_for((2, 2), ["11"], max_depth=2)  # all-identity string
     with pytest.raises(ValueError):
+        SearchSpec(dims=(2,), target=StringSet(2, ()), max_depth=2)  # target length
+    with pytest.raises(ValueError):
         spec_for((2,), ["0"], max_depth=0)
     with pytest.raises(ValueError):
         spec_for((2,), ["0"], max_depth=2, max_trivial_leaves=-1)

@@ -220,6 +220,10 @@ def test_find_alignment_identity_first_and_least_witness():
     b = StringSet.from_bitstrings(2, ["10"])
     assert find_alignment(a, (2, 2), b, (2, 2)) == (1, 0)
     assert find_alignment(a, (2, 3), b, (2, 3)) is None
+    # unequal lengths, unequal dim multisets
+    c = StringSet.from_bitstrings(3, ["001"])
+    assert find_alignment(a, (2, 2), c, (2, 2, 2)) is None
+    assert find_alignment(a, (2, 2), b, (2, 3)) is None
 
 
 def test_alignment_cap():

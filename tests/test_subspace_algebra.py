@@ -1,5 +1,8 @@
 """Index-string sets and the block-pattern recursion."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -58,6 +61,29 @@ def test_string_set_refuses_out_of_range_strings():
         StringSet(2, frozenset({0, -1}))
     with pytest.raises(ValueError, match="does not fit"):
         StringSet(0, frozenset({1}))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: union(sset("0"), sset("00")), ValueError),
+        (lambda: concat(StringSet(MAX_FACTORS, ()), sset("0")), CapacityError),
+        (lambda: normal_form(sset("00"), (2,)), ValueError),
+        (lambda: dim_of_delta(sset("00"), (2, 2, 2)), ValueError),
+        (lambda: setattr(sset("0"), "bits", 0), AttributeError),
+    ],
+    ids=["union-lengths", "concat-capacity", "normal-form-dims",
+         "dim-of-delta-dims", "immutable"],
+)
+def test_string_set_refusals(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_string_set_survives_pickle_and_deepcopy():
+    J = sset("01", "10")
+    assert pickle.loads(pickle.dumps(J)) == J
+    assert copy.deepcopy(J) == J
 
 
 def test_leftmost_factor_is_highest_bit():
