@@ -12,14 +12,19 @@ is one change of basis: each factor's row and column axes are paired into
 one axis of size d^2, and a real Householder reflection on it makes the first
 coordinate the identity component vec(I)/sqrt(d) and the rest traceless. A
 0/1 mask keeps the coordinates whose pattern (bit 1 where a factor is at its
-first coordinate) lies in J, and the same reflections map back: cost
-O(side^2 * sum of d^2), with the reflections and mask cached per (dims, J).
-Each reflection is real orthogonal, so the whole change of basis preserves
-the Frobenius norm: the norm of a projection is the norm of the masked
-coordinates, read after the forward pass alone. check_deterministic reads
-its residual outside Delta_x this way, and takes the O(side^3) spectrum only
-for an input already in the affine slice (Hermitian, Tr R / d = lambda_x,
-no component outside Delta_x): only there does the PSD test decide.
+first coordinate) lies in J, and the same reflections map back. The
+reflections are real, so they act on the real and imaginary parts apart:
+the passes run on the float64 view of the matrix, with its real/imaginary
+axis as one more axis, at 4 * side^2 * sum of d^2 real flops each way (half
+that for a real matrix), half the flops of complex products. The
+reflections, the mask and the flat indices of the masked coordinates are
+cached per (dims, J). Each reflection is real orthogonal, so the whole
+change of basis preserves the Frobenius norm: the norm of a projection is
+the norm of the masked coordinates, read after the forward pass alone.
+check_deterministic reads its residual outside Delta_x this way, gathering
+those coordinates by their cached indices, and takes the O(side^3) spectrum
+only for an input already in the affine slice (Hermitian, Tr R / d =
+lambda_x, no component outside Delta_x): only there does the PSD test decide.
 
 Admissibility is certified from both sides. The deterministic events E of
 the dual type x -> I form the slice {Tr E = 1 / lambda_x, no Delta_x
@@ -196,12 +201,15 @@ def apply_inverse_choi(M: HermOp, O: HermOp) -> HermOp:
 @lru_cache(maxsize=32)
 def _block_basis(
     dims: tuple[int, ...], J: StringSet
-) -> tuple[list[int], list[int], list[np.ndarray], np.ndarray]:
-    """The axis order pairing each factor's row and column axes, its
-    inverse, the reflection of each non-trivial pair axis, and the mask of J
-    over the paired axes."""
+) -> tuple[list[int], list[int], list[np.ndarray], np.ndarray, np.ndarray]:
+    """The axis order pairing each factor's row and column axes, with the
+    real/imaginary axis last, and its inverse; the reflection of each
+    non-trivial pair axis; the mask of J over the paired axes; and the flat
+    indices of J's coordinates in the forward pass's output for a complex
+    matrix, each real part's index followed by its imaginary part's, so that
+    the values they gather view as complex numbers."""
     k = len(dims)
-    order = [a for f in range(k) for a in (f, k + f)]
+    pairs = [a for f in range(k) for a in (f, k + f)]
     reflections = []
     pattern = np.zeros((), dtype=np.int64)
     for d in dims:
@@ -212,16 +220,22 @@ def _block_basis(
             reflections.append(np.eye(d * d) - np.outer(v, v) * (2 / (v @ v)))
     bitmap = np.frombuffer(J.bits.to_bytes((1 << k) // 8 + 1, "little"), np.uint8)
     mask = np.unpackbits(bitmap, bitorder="little").astype(bool)[pattern.ravel()]
-    mask = mask.reshape([(dims + dims)[a] for a in order])
-    for a in (*reflections, mask):
+    inside = np.flatnonzero(mask)
+    picks = np.stack([inside, inside + mask.size], axis=1).ravel()
+    mask = mask.reshape([(dims + dims)[a] for a in pairs])
+    for a in (*reflections, mask, picks):
         a.setflags(write=False)
-    return order, np.argsort(order).tolist(), reflections, mask
+    order = pairs + [2 * k]
+    return order, np.argsort(order).tolist(), reflections, mask, picks
 
 
 def _reflect(t: np.ndarray, reflections: list[np.ndarray]) -> np.ndarray:
-    """Reflect each pair axis in turn: contract the leading one and append it
-    last, so one pass returns the axes to their order and shape."""
-    shape = t.shape
+    """Reflect each pair axis of the real array t in turn. Read in C order,
+    t's axes are the pair axes (or one flat axis holding them) and then the
+    real/imaginary axis. Each pass is one real GEMM that contracts the
+    leading pair axis and appends it last, so the passes keep the pair axes
+    in order and bring the real/imaginary axis to the front."""
+    shape = t.shape[-1:] + t.shape[:-1]
     for h in reflections:
         t = t.reshape(h.shape[0], -1).T @ h
     return t.reshape(shape)
@@ -231,10 +245,14 @@ def _block_coordinates(
     mat: np.ndarray, dims: tuple[int, ...], J: StringSet
 ) -> tuple[np.ndarray, np.ndarray]:
     """The forward half of the projection onto the blocks in J: the
-    coordinates of mat in the reflected basis, over the paired axes, and the
-    mask of the coordinates that lie in J."""
-    order, _, reflections, mask = _block_basis(dims, J)
-    return _reflect(mat.reshape(dims + dims).transpose(order), reflections), mask
+    coordinates of mat in the reflected basis, as a real tensor whose leading
+    axis holds the real and imaginary parts (the real part alone for a real
+    mat) over the paired axes, and the flat indices that gather the complex
+    coordinates in J (see _block_basis)."""
+    order, _, reflections, _, picks = _block_basis(dims, J)
+    mat = np.ascontiguousarray(mat, dtype=complex if mat.dtype.kind == "c" else float)
+    parts = mat.view(np.float64).reshape(dims + dims + (-1,))
+    return _reflect(parts.transpose(order), reflections), picks
 
 
 def _project_delta_matrix(
@@ -243,11 +261,15 @@ def _project_delta_matrix(
     """Orthogonal projection onto the blocks in J. It is linear and keeps
     Hermitian operators Hermitian; it does not symmetrize its input."""
     side = mat.shape[0]
+    dtype = complex if mat.dtype.kind == "c" else float
     if not J.bits:
-        return np.zeros((side, side), dtype=complex)
-    coords, mask = _block_coordinates(mat, dims, J)
-    _, inverse, reflections, _ = _block_basis(dims, J)
-    return _reflect(coords * mask, reflections).transpose(inverse).reshape(side, side)
+        return np.zeros((side, side), dtype)
+    coords, _ = _block_coordinates(mat, dims, J)
+    _, inverse, reflections, mask, _ = _block_basis(dims, J)
+    # the backward pass, too, takes the real/imaginary axis last
+    back = _reflect((coords * mask).reshape(len(coords), -1).T, reflections)
+    out = back.T.reshape(mask.shape + (-1,)).transpose(inverse)
+    return np.ascontiguousarray(out).view(dtype).reshape(side, side)
 
 
 # --------------------------------------------------------------------------
@@ -290,7 +312,7 @@ def check_deterministic(
     lam_measured = float(np.trace(herm).real) / side
     delta, nf_dims = delta_normal_form(x)
     coords, outside = _block_coordinates(herm, nf_dims, complement_in_T(delta))
-    residual = _fro(coords[outside]) / max(1.0, _fro(herm))
+    residual = _fro(coords.take(outside).view(complex)) / max(1.0, _fro(herm))
     min_eig = None
     if (
         herm_residual <= tol

@@ -6,7 +6,7 @@ branch without parsing:
 
     0   success / true verdict
     1   completed with a false verdict
-    2   usage or I/O error
+    2   usage or I/O error, or out of memory
     3   numerical non-convergence or capped search (no certificate)
 
 Output is byte-identical across runs for a fixed argv and seed.  JSON
@@ -372,6 +372,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         _emit(payload, args.format)  # strict JSON: a non-finite value raises
     except (ParseError, ValueError, TypeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # a verdict of 1 would read as "no"; the input did not fit in memory
+        print("error: out of memory (the input is too large)", file=sys.stderr)
         return 2
     return code
 

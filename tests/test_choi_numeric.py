@@ -443,9 +443,18 @@ PROJECTOR_TYPES = {
     "state_input": parse_type("I->A:2"),
     "dual_effect": parse_type("(A:2->I)->I"),
     "qutrit_channel": parse_type("A:3->B:3"),
+    "mixed_dims": parse_type("A:2*B:3->C:4"),
     "channel_pair": tensor(parse_type("A:2->B:2"), parse_type("C:2->D:2")),
     "comb4": make_comb([parse_type("A:2->B:2")] * 4),
 }
+
+
+def projector_inputs(rng, side):
+    """A Hermitian, a generic complex and a generic real matrix: the
+    projector runs on real and imaginary parts apart, and does not
+    symmetrize."""
+    g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    return [(g + g.conj().T) / 2, g, g.real]
 
 
 @pytest.mark.parametrize("which", ["delta", "outside"])
@@ -455,17 +464,17 @@ def test_projector_matches_block_oracle(name, which):
     dims = factor_dims(x)
     delta = delta_of_type(x)
     J = delta if which == "delta" else complement_in_T(delta)
-    X = random_herm(np.random.default_rng(len(dims)), total_dim(x))
-    scale = np.linalg.norm(X)
-    expected = sum(
-        (oracles.block_project(X, dims, b) for b in J.as_bitstrings()),
-        np.zeros_like(X),
-    )
-    got = _project_delta_matrix(X, dims, J)
-    assert np.linalg.norm(got - expected) <= 1e-12 * scale
-    rest = _project_delta_matrix(X, dims, perp_in_W(J))
-    herm = (X + X.conj().T) / 2
-    assert np.linalg.norm(got + rest - herm) <= 1e-12 * scale
+    for X in projector_inputs(np.random.default_rng(len(dims)), total_dim(x)):
+        scale = np.linalg.norm(X)
+        expected = sum(
+            (oracles.block_project(X, dims, b) for b in J.as_bitstrings()),
+            np.zeros_like(X),
+        )
+        got = _project_delta_matrix(X, dims, J)
+        assert got.dtype == X.dtype
+        assert np.linalg.norm(got - expected) <= 1e-12 * scale
+        rest = _project_delta_matrix(X, dims, perp_in_W(J))
+        assert np.linalg.norm(got + rest - X) <= 1e-12 * scale
 
 
 def test_oracle_agrees_with_block_checker(nprng):

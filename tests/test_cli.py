@@ -652,8 +652,8 @@ def test_sample_det_refuses_an_oversize_side(invoke):
     assert code == 2 and out == "" and "exceeds the limit" in err
 
 
-def _limit_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+def _limit_address_space(limit=1 << 30):
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 def test_comb_delta_refuses_too_many_factors_early():
@@ -717,6 +717,25 @@ def test_inverse_bounds_past_what_a_tree_holds(invoke, tmp_path, huge, enough):
     )
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == expected
+
+
+def test_out_of_memory_exits_2_not_1(tmp_path, monkeypatch):
+    # 30 MB of JSON with one overlong row: json.load runs out of memory under
+    # a 400 MiB address-space limit before the row count is checked, and
+    # exit 1 would read as a "no". One BLAS thread, so that importing numpy
+    # reserves no per-core buffers under the limit.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    path = tmp_path / "big.json"
+    path.write_text(
+        '{"dims": [2, 2], "matrix": [[' + ",".join(["[0.5, 0.25]"] * 2_500_000) + "]]}"
+    )
+    proc = python_with_src(
+        ["-m", "hoq.cli", "check-det", "--type", "A:2->B:2", "--matrix", str(path)],
+        timeout=30, preexec_fn=lambda: _limit_address_space(400 << 20),
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: out of memory"), proc.stderr
 
 
 def test_inverse_huge_bounds_on_both_axes_exit_3(tmp_path):
